@@ -364,8 +364,11 @@ int run_netmc_scaling(const std::string& json_path) {
 // --------------------------------------------- analytic SSTA sweep ------
 
 /// Analytic four-moment SSTA vs the sharded netlist Monte Carlo across
-/// design sizes: wall time on both sides (MC at the 100k-sample reference
-/// count the acceptance contract uses), the speedup ratio, worst-case
+/// design sizes (finalized random mapped designs, 500 to 16k cells): the
+/// analytic wall time and its per-cell cost, the most local terms any
+/// arrival holds and how many the kMaxLocalTerms cap folded, MC wall time
+/// at kMcSamples with its linear projection to the 100k-sample reference
+/// count the acceptance contract uses, the projected speedup, worst-case
 /// N-sigma quantile disagreement in sigma units, and the engine's
 /// thread-count determinism (1 vs 4 lanes byte-identical). The JSON perf
 /// record lands in ssta_analytic_perf.json.
@@ -380,20 +383,27 @@ int run_ssta_sweep(const std::string& json_path) {
       NSigmaCellModel::fit(testfix::make_full_charlib());
   const NSigmaWireModel wire_model =
       NSigmaWireModel::fit(testfix::make_charlib(), lib);
-  constexpr int kMcSamples = 100000;
+  // MC cost is linear in the sample count, so 10k samples keep the 16k-cell
+  // point to seconds and scale to the 100k reference exactly; the quantile
+  // error is against this 10k-sample MC.
+  constexpr int kMcSamples = 10000;
+  constexpr double kReferenceSamples = 100000.0;
 
   std::ofstream json(json_path);
   perfjson::open_envelope(json, "ssta_sweep");
-  json << ",\n  \"mc_samples\": " << kMcSamples << ",\n"
+  json << ",\n  \"mc_samples\": " << kMcSamples
+       << ",\n  \"max_local_terms\": " << ssta::kMaxLocalTerms << ",\n"
        << "  \"sweep\": [";
   bool first = true;
   bool ok = true;
-  for (const int target : {100, 250, 500}) {
+  double min_per_cell = 1e300, max_per_cell = 0.0;
+  for (const int target : {500, 1000, 2000, 4000, 8000, 16000}) {
     RandomNetlistSpec spec;
     spec.name = "ssta_sweep_" + std::to_string(target);
     spec.target_cells = target;
     spec.seed = 42;
-    const GateNetlist netlist = generate_random_mapped(spec, lib);
+    GateNetlist netlist = generate_random_mapped(spec, lib);
+    finalize_design(netlist, lib, tech);
     const ParasiticDb parasitics = generate_parasitics(netlist, tech);
 
     AnalyticSstaOptions aopt;
@@ -407,6 +417,9 @@ int run_ssta_sweep(const std::string& json_path) {
       an_s = std::min(an_s,
                       std::chrono::duration<double>(clock::now() - t0).count());
     }
+    const double per_cell = an_s / static_cast<double>(netlist.num_cells());
+    min_per_cell = std::min(min_per_cell, per_cell);
+    max_per_cell = std::max(max_per_cell, per_cell);
 
     // Determinism: 4 worker lanes must reproduce the serial run exactly.
     AnalyticSstaOptions popt;
@@ -432,6 +445,7 @@ int run_ssta_sweep(const std::string& json_path) {
     const auto mcr = mc.run(netlist, parasitics, cfg);
     const double mc_s =
         std::chrono::duration<double>(clock::now() - t0).count();
+    const double mc_ref_s = mc_s * kReferenceSamples / kMcSamples;
 
     // Worst PO quantile disagreement, in units of that PO's sigma.
     double worst_dq = 0.0;
@@ -449,20 +463,28 @@ int run_ssta_sweep(const std::string& json_path) {
          << "\", \"cells\": " << netlist.num_cells()
          << ", \"levels\": " << an.levels
          << ", \"analytic_seconds\": " << an_s
+         << ", \"analytic_seconds_per_cell\": " << per_cell
+         << ", \"peak_local_terms\": " << an.peak_local_terms
+         << ", \"folded_local_terms\": " << an.folded_local_terms
          << ", \"mc_seconds\": " << mc_s
-         << ", \"speedup\": " << mc_s / an_s
+         << ", \"mc_100k_seconds_projected\": " << mc_ref_s
+         << ", \"speedup_vs_100k_mc\": " << mc_ref_s / an_s
          << ", \"worst_po_quantile_err_sigma\": " << worst_dq
          << ", \"threads_byte_identical\": " << (identical ? "true" : "false")
          << "}";
     first = false;
     std::cerr << "[ssta-sweep] " << netlist.name() << ": "
               << netlist.num_cells() << " cells  analytic " << an_s * 1e3
-              << " ms  mc " << mc_s << " s  speedup " << mc_s / an_s
-              << "  worst dq " << worst_dq << " sigma"
+              << " ms (" << per_cell * 1e6 << " us/cell, peak "
+              << an.peak_local_terms << " terms)  mc " << mc_s
+              << " s  speedup vs 100k " << mc_ref_s / an_s << "  worst dq "
+              << worst_dq << " sigma"
               << (identical ? "" : "  MISMATCH") << "\n";
   }
-  json << "\n  ]\n}\n";
-  std::cerr << "[ssta-sweep] wrote " << json_path << "\n";
+  const double spread = max_per_cell / min_per_cell;
+  json << "\n  ],\n  \"per_cell_cost_spread\": " << spread << "\n}\n";
+  std::cerr << "[ssta-sweep] per-cell cost spread " << spread
+            << "x (target <= 2x)\n[ssta-sweep] wrote " << json_path << "\n";
   if (!ok) {
     std::cerr << "[ssta-sweep] ERROR: parallel analytic result diverged "
                  "from serial reference\n";

@@ -17,7 +17,10 @@ class Builder {
   int pi(const std::string& name) { return nl_.add_primary_input(name); }
 
   int gate(CellFunc f, const std::vector<int>& ins, int strength = 1) {
-    const std::string name = "n" + std::to_string(counter_++);
+    // Skip counter values whose name a primary input already holds (the
+    // dividers name their dividend bits n0..).
+    std::string name = "n" + std::to_string(counter_++);
+    while (nl_.find_net(name) >= 0) name = "n" + std::to_string(counter_++);
     const int cell = nl_.add_cell(name + "_g", lib_.by_func(f, strength), ins,
                                   name);
     return nl_.cell(cell).out_net;
@@ -582,13 +585,26 @@ int insert_buffers_pass(GateNetlist& netlist, const CellLibrary& lib,
         std::min<int>(group, static_cast<int>(groups.size()) - 1))];
   };
 
+  // A later pass re-buffers a net whose buffer count itself exceeds the
+  // cap, and its <net>_buf<g> names are already taken by the earlier
+  // pass's buffers: suffix until the name is new to both netlists.
+  auto buffer_net_name = [&](const std::string& base) {
+    std::string name = base;
+    for (int k = 1; netlist.find_net(name) >= 0 || out.find_net(name) >= 0;
+         ++k) {
+      name = base + "_" + std::to_string(k);
+    }
+    return name;
+  };
+
   auto plan_net = [&](int orig_net) {
     const auto& net = netlist.net(orig_net);
     const int fanout = static_cast<int>(net.sinks.size());
     if (fanout <= max_fanout) return;
     const int groups = (fanout + max_fanout - 1) / max_fanout;
     for (int g = 0; g < groups; ++g) {
-      const std::string bn = net.name + "_buf" + std::to_string(g);
+      const std::string bn =
+          buffer_net_name(net.name + "_buf" + std::to_string(g));
       const int cell = out.add_cell(
           bn + "_g", buf, {net_map[static_cast<std::size_t>(orig_net)]}, bn);
       serving[static_cast<std::size_t>(orig_net)].push_back(

@@ -1,8 +1,10 @@
 #include "sta/ssta_analytic.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -286,6 +288,22 @@ StageSplit split_stage(const Stage& s, double w_g, double w_l) {
   return sp;
 }
 
+/// The first term of `terms` (ascending indices) whose index is not below
+/// `index`.
+template <class Terms>
+auto lower_term(Terms& terms, std::size_t index) {
+  return std::lower_bound(
+      terms.begin(), terms.end(), index,
+      [](const LocalTerm& t, std::size_t i) { return t.index < i; });
+}
+
+/// The slots of `index` in `terms`, or nullptr when the index is absent.
+const std::array<double, 5>* find_term(const std::vector<LocalTerm>& terms,
+                                       std::size_t index) {
+  const auto it = lower_term(terms, index);
+  return it != terms.end() && it->index == index ? &it->u : nullptr;
+}
+
 }  // namespace
 
 Stage cell_stage(const Moments& m, double sigma_scale, bool moment_shaping,
@@ -357,8 +375,14 @@ PolyCumulants hermite_poly_cumulants(const std::array<double, 3>& a) {
   return out;
 }
 
-void Arrival::ensure_locals(std::size_t n) {
-  if (local.size() < n) local.resize(n, std::array<double, 5>{});
+std::array<double, 5>& Arrival::local_at(std::size_t index) {
+  // Stages and re-keys almost always land past the last term.
+  if (local.empty() || local.back().index < index) {
+    return local.emplace_back(LocalTerm{index, {}}).u;
+  }
+  auto it = lower_term(local, index);
+  if (it->index != index) it = local.insert(it, LocalTerm{index, {}});
+  return it->u;
 }
 
 void Arrival::add_stage(const Stage& s, Domain domain, double w_g, double w_l,
@@ -366,9 +390,10 @@ void Arrival::add_stage(const Stage& s, Domain domain, double w_g, double w_l,
   const StageSplit sp = split_stage(s, w_g, w_l);
   mu += s.mean;
   std::array<double, 3>& g = domain == Domain::kCell ? gc : gw;
+  std::array<double, 5>& u = local_at(local_index);
   for (std::size_t k = 0; k < 3; ++k) {
     g[k] += sp.ga[k];
-    local[local_index][k] += sp.u[k];
+    u[k] += sp.u[k];
   }
   l2 += sp.dl2;
   l3 += sp.dl3;
@@ -416,12 +441,45 @@ Arrival StagedArrival::materialize() const {
   r.l3 += dl3;
   r.l4 += dl4;
   for (std::size_t i = 0; i < n_patches; ++i) {
-    r.ensure_locals(patches[i].index + 1);
-    for (std::size_t k = 0; k < 3; ++k) {
-      r.local[patches[i].index][k] += patches[i].du[k];
-    }
+    std::array<double, 5>& u = r.local_at(patches[i].index);
+    for (std::size_t k = 0; k < 3; ++k) u[k] += patches[i].du[k];
   }
   return r;
+}
+
+std::size_t Arrival::cap_locals() {
+  const std::size_t n = local.size();
+  if (n <= kMaxLocalTerms) return 0;
+  // Rank by variance share, ties to the lower index: the K-th largest
+  // weight is the threshold, every heavier term stays, and terms at the
+  // threshold fill the remaining places in index order. The kept set is a
+  // function of the terms alone, not of the selection's visiting order.
+  static thread_local std::vector<double> weights, ranked;
+  weights.clear();
+  for (const LocalTerm& t : local) {
+    double w = 0.0;
+    for (double x : t.u) w += x * x;
+    weights.push_back(w);
+  }
+  ranked = weights;
+  const auto nth =
+      ranked.begin() + static_cast<std::ptrdiff_t>(kMaxLocalTerms - 1);
+  std::nth_element(ranked.begin(), nth, ranked.end(), std::greater<>());
+  const double threshold = *nth;
+  std::size_t at_threshold = kMaxLocalTerms;
+  for (double w : weights) at_threshold -= w > threshold ? 1 : 0;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = weights[i];
+    if (w > threshold || (w == threshold && at_threshold > 0)) {
+      if (!(w > threshold)) --at_threshold;
+      local[kept++] = local[i];
+    } else {
+      l2 += w;
+    }
+  }
+  local.resize(kept);
+  return n - kept;
 }
 
 double Arrival::variance() const {
@@ -429,8 +487,8 @@ double Arrival::variance() const {
   for (std::size_t k = 0; k < 3; ++k) {
     v += kHermNorm[k] * (gc[k] * gc[k] + gw[k] * gw[k]);
   }
-  for (const auto& u : local) {
-    for (double x : u) v += x * x;
+  for (const LocalTerm& t : local) {
+    for (double x : t.u) v += x * x;
   }
   return v;
 }
@@ -457,9 +515,18 @@ double Arrival::covariance(const Arrival& a, const Arrival& b) {
   for (std::size_t k = 0; k < 3; ++k) {
     cov += kHermNorm[k] * (a.gc[k] * b.gc[k] + a.gw[k] * b.gw[k]);
   }
-  const std::size_t n = std::min(a.local.size(), b.local.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < 5; ++k) cov += a.local[i][k] * b.local[i][k];
+  auto ia = a.local.begin();
+  auto ib = b.local.begin();
+  while (ia != a.local.end() && ib != b.local.end()) {
+    if (ia->index < ib->index) {
+      ++ia;
+    } else if (ib->index < ia->index) {
+      ++ib;
+    } else {
+      for (std::size_t k = 0; k < 5; ++k) cov += ia->u[k] * ib->u[k];
+      ++ia;
+      ++ib;
+    }
   }
   return cov;
 }
@@ -478,8 +545,8 @@ void Arrival::stat_max_into(Arrival& acc, const StagedArrival& bv) {
   const Arrival& a = acc;
   const Arrival& bb = *bv.base;
   // The candidate's effective scalars: base plus staged deltas. The local
-  // vector stays unmaterialized — reads below go through bb.local plus the
-  // O(1) patches.
+  // terms stay unmaterialized — reads below go through bb.local plus the
+  // patches.
   const double bmu = bb.mu + bv.dmu;
   std::array<double, 3> bgc, bgw, bvcm, bvwm;
   for (std::size_t k = 0; k < 3; ++k) {
@@ -491,38 +558,45 @@ void Arrival::stat_max_into(Arrival& acc, const StagedArrival& bv) {
   const double b_l2 = bb.l2 + bv.dl2;
   const double b_l3 = bb.l3 + bv.dl3;
   const double b_l4 = bb.l4 + bv.dl4;
-  // One fused read pass over the local vectors: per-side local variance
-  // and the shared-index covariance (globals are added in closed form
-  // below). Every other O(cone) quantity derives from these. Patches
+  // One fused read merge over the two sorted term lists: per-side local
+  // variance and the shared-index covariance (globals are added in closed
+  // form below). Every other local quantity derives from these. Patches
   // contribute (old + du)^2 - old^2 to the candidate's variance and
   // a[i] . du to the shared covariance.
+  const std::vector<LocalTerm>& la = a.local;
+  const std::vector<LocalTerm>& lb = bb.local;
   double sla2 = 0.0, slb2 = 0.0, covl_loc = 0.0;
-  const std::size_t na = a.local.size();
-  const std::size_t nbb = bb.local.size();
   {
-    const std::size_t ns = std::min(na, nbb);
-    for (std::size_t i = 0; i < ns; ++i) {
-      for (std::size_t k = 0; k < 5; ++k) {
-        const double xa = a.local[i][k];
-        const double xb = bb.local[i][k];
-        sla2 += xa * xa;
-        slb2 += xb * xb;
-        covl_loc += xa * xb;
+    auto ia = la.begin();
+    auto ib = lb.begin();
+    while (ia != la.end() || ib != lb.end()) {
+      if (ib == lb.end() || (ia != la.end() && ia->index < ib->index)) {
+        for (double x : ia->u) sla2 += x * x;
+        ++ia;
+      } else if (ia == la.end() || ib->index < ia->index) {
+        for (double x : ib->u) slb2 += x * x;
+        ++ib;
+      } else {
+        for (std::size_t k = 0; k < 5; ++k) {
+          const double xa = ia->u[k];
+          const double xb = ib->u[k];
+          sla2 += xa * xa;
+          slb2 += xb * xb;
+          covl_loc += xa * xb;
+        }
+        ++ia;
+        ++ib;
       }
-    }
-    for (std::size_t i = ns; i < na; ++i) {
-      for (double x : a.local[i]) sla2 += x * x;
-    }
-    for (std::size_t i = ns; i < nbb; ++i) {
-      for (double x : bb.local[i]) slb2 += x * x;
     }
     for (std::size_t ip = 0; ip < bv.n_patches; ++ip) {
       const StagedArrival::Patch& pch = bv.patches[ip];
+      const std::array<double, 5>* ta = find_term(la, pch.index);
+      const std::array<double, 5>* tb = find_term(lb, pch.index);
       for (std::size_t k = 0; k < 3; ++k) {
         const double du = pch.du[k];
-        const double old = pch.index < nbb ? bb.local[pch.index][k] : 0.0;
+        const double old = tb ? (*tb)[k] : 0.0;
         slb2 += du * (2.0 * old + du);
-        if (pch.index < na) covl_loc += a.local[pch.index][k] * du;
+        if (ta) covl_loc += (*ta)[k] * du;
       }
     }
   }
@@ -651,9 +725,9 @@ void Arrival::stat_max_into(Arrival& acc, const StagedArrival& bv) {
   const double k3m = m3;
   const double k4m = m4 - 3.0 * m2 * m2;
 
-  // Write the result into acc. Scalars the in-place blend still needs are
-  // saved first; the locals blend is element-wise, so reusing acc's
-  // storage is safe.
+  // Write the result into acc. Scalars the blend still needs are saved
+  // first; the local terms blend into scratch storage, so acc's own terms
+  // stay readable until the swap.
   const double a_l3 = a.l3, a_l4 = a.l4;
   const double pb = 1.0 - p;
   acc.mu = mean;
@@ -674,46 +748,54 @@ void Arrival::stat_max_into(Arrival& acc, const StagedArrival& bv) {
     tracked += kHermNorm[k] * (acc.gc[k] * acc.gc[k] + acc.gw[k] * acc.gw[k]);
   }
   {
-    std::size_t nb_eff = nbb;
+    // Blend merge of acc, the candidate's base and its patch indices (a
+    // third, zero-valued stream, so a staged index absent from both inputs
+    // gets its term) into a scratch list that then swaps into acc.
+    static thread_local std::vector<LocalTerm> merged;
+    merged.clear();
+    merged.reserve(la.size() + lb.size() + bv.n_patches);
+    std::array<std::size_t, 2> pidx{};
     for (std::size_t ip = 0; ip < bv.n_patches; ++ip) {
-      nb_eff = std::max(nb_eff, bv.patches[ip].index + 1);
+      pidx[ip] = bv.patches[ip].index;
     }
-    if (std::max(na, nb_eff) > na) {
-      acc.local.resize(std::max(na, nb_eff), std::array<double, 5>{});
-    }
-    const std::size_t ns = std::min(na, nbb);
-    for (std::size_t i = 0; i < ns; ++i) {
-      for (std::size_t k = 0; k < 5; ++k) {
-        const double x = p * acc.local[i][k] + pb * bb.local[i][k];
-        acc.local[i][k] = x;
-        tracked += x * x;
+    if (bv.n_patches == 2 && pidx[1] < pidx[0]) std::swap(pidx[0], pidx[1]);
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    auto ia = la.begin();
+    auto ib = lb.begin();
+    std::size_t ip = 0;
+    while (ia != la.end() || ib != lb.end() || ip < bv.n_patches) {
+      const std::size_t xa = ia != la.end() ? ia->index : kNone;
+      const std::size_t xb = ib != lb.end() ? ib->index : kNone;
+      const std::size_t xp = ip < bv.n_patches ? pidx[ip] : kNone;
+      const std::size_t index = std::min({xa, xb, xp});
+      LocalTerm& t = merged.emplace_back(LocalTerm{index, {}});
+      if (xa == index && xb == index) {
+        for (std::size_t k = 0; k < 5; ++k) {
+          t.u[k] = p * ia->u[k] + pb * ib->u[k];
+        }
+      } else if (xa == index) {
+        for (std::size_t k = 0; k < 5; ++k) t.u[k] = ia->u[k] * p;
+      } else if (xb == index) {
+        for (std::size_t k = 0; k < 5; ++k) t.u[k] = pb * ib->u[k];
       }
-    }
-    for (std::size_t i = ns; i < na; ++i) {
-      for (double& x : acc.local[i]) {
-        x *= p;
-        tracked += x * x;
-      }
-    }
-    for (std::size_t i = ns; i < nbb; ++i) {
-      for (std::size_t k = 0; k < 5; ++k) {
-        const double x = pb * bb.local[i][k];
-        acc.local[i][k] = x;
-        tracked += x * x;
-      }
+      for (double x : t.u) tracked += x * x;
+      if (xa == index) ++ia;
+      if (xb == index) ++ib;
+      if (xp == index) ++ip;
     }
     // Patch fix-ups: the bulk blend above saw the base's value at the
-    // patched slot, so the staged delta enters as + pb * du (slots beyond
-    // every vector start from the zero fill).
-    for (std::size_t ip = 0; ip < bv.n_patches; ++ip) {
-      const StagedArrival::Patch& pch = bv.patches[ip];
+    // patched index, so the staged delta enters as + pb * du.
+    for (std::size_t jp = 0; jp < bv.n_patches; ++jp) {
+      const StagedArrival::Patch& pch = bv.patches[jp];
+      std::array<double, 5>& u = lower_term(merged, pch.index)->u;
       for (std::size_t k = 0; k < 3; ++k) {
-        const double x_old = acc.local[pch.index][k];
+        const double x_old = u[k];
         const double x = x_old + pb * pch.du[k];
-        acc.local[pch.index][k] = x;
+        u[k] = x;
         tracked += x * x - x_old * x_old;
       }
     }
+    acc.local.swap(merged);
   }
   acc.l2 = std::max(k2m - tracked, 0.0);
   // The integrated k3m/k4m carry the mean-surface (global) cumulants and
@@ -809,9 +891,8 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
   // index pair per reachable cell in LEVELIZED order — the cell's own draw,
   // then its output net (wire draw + fold-residual slots). Topological
   // numbering keeps every index in a fanin cone below the cone root's own
-  // pair, so a local vector's length tracks the cone's topological span
-  // instead of jumping to a netlist-wide offset the moment a fold residual
-  // or wire draw is keyed.
+  // pair, so a task's cell draw and re-key append past the last term of
+  // the sorted term list instead of inserting into its middle.
   const auto& lev = netlist.levelization();
   std::vector<std::size_t> net_pos(n_nets, 0);
   std::size_t n_locals = 0;
@@ -942,6 +1023,7 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
       parallel ? options_.sta.exec : options_.sta.exec.with_threads(1);
   CancellationToken* token = exec.cancel;
   std::vector<ssta::Arrival> arr(2 * n_nets);
+  std::atomic<std::size_t> folded{0};
   std::size_t task_begin = 0;
   for (std::size_t li = 0; li < level_task_end.size(); ++li) {
     fault_fire("ssta.level", li, token);
@@ -950,27 +1032,13 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
     exec.parallel_for(task_end - task_begin, [&](std::size_t i) {
       const SstaTask& t = tasks[task_begin + i];
       const std::size_t rekey = net_pos[t.out_slot / 2];
-      // Final local span of this task's output: the re-key slot sits past
-      // every index the arcs can touch, so reserving it once up front means
-      // no fold ever reallocates the accumulator.
-      std::size_t cap = rekey + 1;
-      for (std::uint32_t k = 0; k < t.num_arcs; ++k) {
-        cap = std::max(cap, arr[arcs[t.first_arc + k].src_slot].local.size());
-      }
-      ssta::Arrival best;
+      // The accumulator is per thread, so its (and the fold's scratch)
+      // storage is reused across tasks instead of allocated per task.
+      static thread_local ssta::Arrival best;
       for (std::uint32_t k = 0; k < t.num_arcs; ++k) {
         const SstaArc& a = arcs[t.first_arc + k];
         if (k == 0) {
-          // The accumulator owns its storage: one copy per task, landing
-          // directly in the pre-reserved buffer. Span only the indices
-          // this arc touches — local vectors stay as short as the fanin
-          // cone needs, and every fold pass scales with the cone instead
-          // of the whole netlist.
-          best.local.reserve(cap);
           best = arr[a.src_slot];
-          std::size_t need = a.cell_local + 1;
-          if (a.has_wire) need = std::max(need, a.wire_local + 1);
-          best.ensure_locals(need);
           if (a.has_wire) {
             best.add_stage(a.wire, ssta::Domain::kWire, w_g, w_l,
                            a.wire_local);
@@ -978,7 +1046,7 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
           best.add_stage(a.cell, ssta::Domain::kCell, w_g, w_l, a.cell_local);
         } else {
           // Later arcs fold as unmaterialized views — the fanin arrival's
-          // local vector is read in place, never copied.
+          // local terms are read in place, never copied.
           ssta::StagedArrival cand(arr[a.src_slot]);
           if (a.has_wire) {
             cand.add_stage(a.wire, ssta::Domain::kWire, w_g, w_l,
@@ -988,18 +1056,25 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
           ssta::Arrival::stat_max_into(best, cand);
         }
       }
-      // Re-key the accumulated residual variance onto this (net, edge)'s
+      // Bound the terms, folding the smallest into the residual, then
+      // re-key the accumulated residual variance onto this (net, edge)'s
       // own local slot: branches reconverging downstream after sharing
       // this fold then see it as common variance instead of independent
       // noise, which would otherwise inflate their max.
-      best.ensure_locals(rekey + 1);
-      best.local[rekey][3 + (t.out_slot & 1)] = std::sqrt(best.l2);
+      if (const std::size_t dropped = best.cap_locals()) {
+        folded.fetch_add(dropped, std::memory_order_relaxed);
+      }
+      best.local_at(rekey)[3 + (t.out_slot & 1)] = std::sqrt(best.l2);
       best.l2 = 0.0;
-      arr[t.out_slot] = std::move(best);
+      arr[t.out_slot] = best;
     });
     task_begin = task_end;
   }
   out.levels = level_task_end.size();
+  out.folded_local_terms = folded.load();
+  for (const ssta::Arrival& a : arr) {
+    out.peak_local_terms = std::max(out.peak_local_terms, a.local.size());
+  }
 
   // Per-net-edge arrival summaries.
   exec.parallel_for(n_nets, [&](std::size_t n) {
@@ -1037,7 +1112,10 @@ AnalyticSsta::Result AnalyticSsta::run(const GateNetlist& netlist,
     if (p == 0) {
       circuit = std::move(worst);
     } else {
+      // The same bound as a task's fold keeps the circuit max linear in
+      // the PO count instead of growing with every PO's terms.
       ssta::Arrival::stat_max_into(circuit, worst);
+      out.folded_local_terms += circuit.cap_locals();
     }
   }
   if (n_pos > 0) {

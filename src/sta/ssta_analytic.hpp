@@ -33,7 +33,24 @@
 // textbook max misses on reconvergent fanin, and why two arcs of one gate
 // sharing a single cell draw are nearly comonotone — are captured exactly
 // through cubic order via the u vectors and the accumulated global
-// coefficients.
+// coefficients, up to the bound below.
+//
+// The u vectors are sparse and bounded: an arrival stores only its nonzero
+// (index, u) terms, sorted by index, and the engine keeps at most
+// kMaxLocalTerms of them per propagated arrival (the canonical-form SSTA
+// shape). Every fold is a sorted-index merge, so its cost is bounded by
+// the cap instead of the fanin cone's topological span. When a task's
+// folded arrival holds more terms, the engine keeps the kMaxLocalTerms
+// with the largest sum u^2 (ties to the lower index) and adds the sum u^2
+// of every dropped term to l2, which the per-task re-key then moves onto
+// the produced net's own slot. The dropped terms' variance is therefore
+// still carried, now as a term private to this arrival: mu, the variance,
+// the global coefficients, the conditional-variance surfaces vc/vw and the
+// residual cumulants l3/l4 are all unchanged by the cap. What is given up
+// is only the COVARIANCE another arrival shares with this one through a
+// dropped ancestor index — a downstream reconvergent max sees those small
+// shared terms as independent. The cap keeps the largest terms, which
+// carry nearly all of the shared variance.
 //
 // Determinism contract: levelized propagation with a barrier between
 // levels, each (cell, edge) task writing only its own output slot, and all
@@ -106,10 +123,27 @@ PolyCumulants hermite_poly_cumulants(const std::array<double, 3>& a);
 
 struct Arrival;
 
+/// Most local terms a propagated arrival keeps (see "Arrival
+/// representation" above). 32 already moves C432-like net-edge means
+/// beyond their MC standard-error bound; 64 leaves every accuracy check
+/// unchanged.
+inline constexpr std::size_t kMaxLocalTerms = 64;
+
+/// One nonzero local term of an arrival: slots 0..2 hold u_{i,k},
+/// k = 1..3, of the stage through instance/net `index`; slots 3..4 hold the
+/// rise/fall fold-residual amplitudes the engine re-keys onto the produced
+/// net (the variance a statistical max generates beyond its blended
+/// representation, which reconvergent branches sharing the fold must see
+/// as COMMON variance, not noise).
+struct LocalTerm {
+  std::size_t index = 0;
+  std::array<double, 5> u{};
+};
+
 /// A lazily-staged arrival: `*base` plus the deltas of up to two series
 /// stages (one cell arc, one wire segment), kept unmaterialized so the
-/// statistical max can fold a candidate without copying the base's
-/// O(fanin-cone) local vector — the engine's dominant memory traffic.
+/// statistical max can fold a candidate without copying the base's local
+/// terms.
 /// Scalar fields accumulate exactly what Arrival::add_stage would have
 /// added; `patches` records the per-order local-slot additions.
 struct StagedArrival {
@@ -136,20 +170,15 @@ struct StagedArrival {
 };
 
 /// A propagated arrival in the decomposition documented at the top of this
-/// header. `local` may be empty, meaning all-zero sensitivities.
+/// header.
 struct Arrival {
   double mu = 0.0;
   std::array<double, 3> gc{};  ///< global-cell Hermite coefficients
   std::array<double, 3> gw{};  ///< global-wire Hermite coefficients
-  /// Per-local-index orthonormalized sensitivities (see file comment):
-  /// slots 0..2 hold u_{i,k}, k = 1..3, of the stage through that
-  /// instance/net; slots 3..4 hold the rise/fall fold-residual amplitudes
-  /// the engine re-keys onto the produced net (the variance a statistical
-  /// max generates beyond its blended representation, which reconvergent
-  /// branches sharing the fold must see as COMMON variance, not noise).
-  /// cov(A, B) restricted to index i is the dot product of the two
-  /// entries.
-  std::vector<std::array<double, 5>> local;
+  /// Nonzero local terms in strictly ascending index order; an absent index
+  /// has all-zero sensitivities. cov(A, B) restricted to index i is the dot
+  /// product of the two terms' slots.
+  std::vector<LocalTerm> local;
   double l2 = 0.0;             ///< residual variance
   double l3 = 0.0;             ///< residual third cumulant
   double l4 = 0.0;             ///< residual fourth cumulant
@@ -162,17 +191,22 @@ struct Arrival {
   std::array<double, 3> vc{};
   std::array<double, 3> vw{};
 
-  /// Grows `local` to `n` zero entries (no-op when already that large).
-  void ensure_locals(std::size_t n);
+  /// The slots of local index `index`, inserting a zero term in order
+  /// when the arrival has none.
+  std::array<double, 5>& local_at(std::size_t index);
 
   /// Adds an independent-drawn stage in series: the stage's Hermite
   /// coefficients split w_g^k * a_k into the stage's global domain and
-  /// sqrt(V_k(w_g, w_l)) * a_k into local slot `local_index`; the part of
+  /// sqrt(V_k(w_g, w_l)) * a_k into local term `local_index`; the part of
   /// the stage's cumulants the cubic decomposition cannot carry (clamp
-  /// residue beyond degree three) goes to the residual. `local` must
-  /// already span `local_index`.
+  /// residue beyond degree three) goes to the residual.
   void add_stage(const Stage& s, Domain domain, double w_g, double w_l,
                  std::size_t local_index);
+
+  /// Keeps the kMaxLocalTerms local terms with the largest sum u^2 (ties
+  /// to the lower index) and adds the sum u^2 of every dropped term to l2,
+  /// so variance() and moments() are unchanged. Returns the number dropped.
+  std::size_t cap_locals();
 
   /// Total variance (exact under the decomposition).
   double variance() const;
@@ -198,14 +232,14 @@ struct Arrival {
   /// the stochastically dominant input.
   static Arrival stat_max(const Arrival& a, const Arrival& b);
 
-  /// In-place form of stat_max: folds `b` into `acc` (reuses acc's local
-  /// storage and fuses the O(fanin-cone) passes instead of allocating a
-  /// result arrival per fold). stat_max is a thin wrapper over this.
+  /// In-place form of stat_max: folds `b` into `acc` (one read merge and
+  /// one blend merge over the two sorted term lists, instead of allocating
+  /// a result arrival per fold). stat_max is a thin wrapper over this.
   static void stat_max_into(Arrival& acc, const Arrival& b);
 
   /// View form — the engine's hot loop: folds base+stage-deltas into `acc`
-  /// reading the base's local vector in place, with O(1) patch fix-ups for
-  /// the candidate's own stage slots. Never copies or materializes the
+  /// reading the base's local terms in place, with patch fix-ups for the
+  /// candidate's own stage indices. Never copies or materializes the
   /// candidate except on the rare exact-winner exits. `b.base` must not
   /// alias `acc`.
   static void stat_max_into(Arrival& acc, const StagedArrival& b);
@@ -270,6 +304,12 @@ class AnalyticSsta {
     Moments worst_po_moments;
     std::array<double, 7> worst_po_quantiles{};
     std::size_t levels = 0;  ///< levelized barriers traversed
+    /// Local terms the kMaxLocalTerms cap folded into residuals, summed
+    /// over every propagated arrival and the circuit max's accumulator (0
+    /// when none reached the cap).
+    std::size_t folded_local_terms = 0;
+    /// Most local terms any propagated net-edge arrival holds.
+    std::size_t peak_local_terms = 0;
     double runtime_seconds = 0.0;
   };
 

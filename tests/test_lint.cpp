@@ -13,6 +13,7 @@
 #include "netlist/designgen.hpp"
 #include "netlist/verilogio.hpp"
 #include "sta/annotate.hpp"
+#include "sta/engine.hpp"
 #include "synthetic_charlib.hpp"
 
 namespace nsdc {
@@ -136,6 +137,63 @@ TEST(LintClean, GeneratedDesignHasZeroErrors) {
   EXPECT_EQ(report.count(Severity::kError), 0) << report.to_text();
   // finalize_design buffers every net down to the 8-sink basis.
   EXPECT_EQ(count_rule(report, "net.fanout-basis"), 0);
+}
+
+// A buffering pass re-buffers a net whose first-pass buffer count itself
+// exceeds the cap; its buffers used to reuse the first pass's
+// <net>_buf<g> names, so name-keyed parasitics lost the shadowed nets.
+TEST(LintClean, RepeatedBufferPassesKeepNamesUnique) {
+  const CellLibrary cells = CellLibrary::standard();
+  const TechParams tech = TechParams::nominal28();
+  GateNetlist nl("bufpass");
+  const int a = nl.add_primary_input("a");
+  for (int i = 0; i < 100; ++i) {
+    const int c = nl.add_cell("u" + std::to_string(i), cells.by_name("INVx1"),
+                              {a}, "y" + std::to_string(i));
+    nl.mark_primary_output(nl.cell(c).out_net);
+  }
+  // 100 sinks -> 13 buffers on `a` -> a second pass buffers those 13.
+  EXPECT_EQ(insert_buffers(nl, cells, 8), 13 + 2);
+  EXPECT_TRUE(nl.duplicate_nets().empty());
+  const ParasiticDb spef = generate_parasitics(nl, tech);
+  const CharLib charlib = full_charlib(cells);
+  const NSigmaCellModel model = NSigmaCellModel::fit(charlib);
+  LintInput in;
+  in.netlist = &nl;
+  in.parasitics = &spef;
+  in.charlib = &charlib;
+  in.cell_model = &model;
+  in.tech = &tech;
+  const LintReport report = run_lint(in);
+  EXPECT_EQ(report.count(Severity::kError), 0) << report.to_text();
+  EXPECT_EQ(count_rule(report, "spef.net-mismatch"), 0) << report.to_text();
+}
+
+// The dividers name their dividend inputs n0.., the generator's own gate
+// names: every such input used to be shadowed by a gate output.
+TEST(LintClean, DividerChainIsLintCleanAndTimes) {
+  const CellLibrary cells = CellLibrary::standard();
+  const TechParams tech = TechParams::nominal28();
+  const CharLib charlib = full_charlib(cells);
+  const NSigmaCellModel model = NSigmaCellModel::fit(charlib);
+  EXPECT_TRUE(generate_array_divider(16, cells).duplicate_nets().empty());
+  EXPECT_TRUE(generate_divider_chain(16, 20, cells).duplicate_nets().empty());
+  for (int stages : {1, 2}) {
+    const GateNetlist nl = generate_divider_chain(16, stages, cells);
+    const ParasiticDb spef = generate_parasitics(nl, tech);
+    LintInput in;
+    in.netlist = &nl;
+    in.parasitics = &spef;
+    in.charlib = &charlib;
+    in.cell_model = &model;
+    in.tech = &tech;
+    const LintReport report = run_lint(in);
+    EXPECT_EQ(report.count(Severity::kError), 0)
+        << stages << " stage(s)\n" << report.to_text();
+    const StaEngine::Result sta = StaEngine(model, tech).run(nl, spef);
+    EXPECT_TRUE(std::isfinite(sta.max_arrival)) << stages << " stage(s)";
+    EXPECT_GT(sta.max_arrival, 0.0) << stages << " stage(s)";
+  }
 }
 
 // -------------------------------------------------------- structural rules

@@ -14,8 +14,11 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -699,6 +702,55 @@ TEST(CliValidation, InvalidArgumentValuesExitThree) {
   EXPECT_EQ(run_tool(dir + "/nsdc_analyze --random 10 --zmax abc"), 3);
   // Unknown flags keep the distinct usage exit 2 in flow_smoke.
   EXPECT_EQ(run_tool(dir + "/flow_smoke --no-such-flag"), 2);
+}
+
+// Random designs past ~2k cells take a second buffering pass, whose buffers
+// used to reuse the first pass's names: lint flagged them, and the daemon
+// exited 13 at start-up ("RcTree: unknown sink pin").
+TEST(CliValidation, RandomDesignPastSecondBufferPassHasUniqueNetNames) {
+  const std::string out = unique_socket_path("lint") + ".txt";
+  const int rc = std::system((std::string(NSDC_TOOL_DIR) +
+                              "/nsdc_lint --random 8000 > " + out + " 2>&1")
+                                 .c_str());
+  std::ifstream in(out);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(out.c_str());
+  ASSERT_TRUE(WIFEXITED(rc)) << text.str();
+  EXPECT_LT(WEXITSTATUS(rc), 2) << text.str();
+  EXPECT_EQ(text.str().find("net.duplicate-name"), std::string::npos)
+      << text.str();
+}
+
+TEST(CliValidation, SyntheticDaemonPastSecondBufferPassAnswersPing) {
+  const std::string sock = unique_socket_path("cells2000");
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const std::string tool = std::string(NSDC_TOOL_DIR) + "/nsdc_serve";
+    if (std::freopen("/dev/null", "w", stdout) == nullptr) ::_exit(126);
+    ::execl(tool.c_str(), tool.c_str(), "--synthetic", "--cells", "2000",
+            "--endpoint", ("unix:" + sock).c_str(),
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  RetryPolicy rp;
+  rp.max_retries = 400;
+  rp.base_delay_s = 0.05;
+  rp.multiplier = 1.0;
+  rp.max_delay_s = 0.05;
+  try {
+    net::Client client(net::Endpoint::unix_path(sock), rp);
+    EXPECT_EQ(head_of(client.call(serve::make_ping(0))).status,
+              serve::Status::kOk);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "no ping answer: " << e.what();
+  }
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 // --- Graceful shutdown ------------------------------------------------------

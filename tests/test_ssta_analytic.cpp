@@ -308,23 +308,23 @@ TEST(SstaAnalyticEquivalence, QuantilesMatchMcOnRandomMapped500) {
 
 // ------------------------------------------------------- byte identity --
 
-TEST(SstaAnalyticDeterminism, ByteIdenticalAcrossThreadCounts) {
-  const Fixture f;
-  RandomNetlistSpec spec;
-  spec.target_cells = 300;
-  spec.seed = 7;
-  const GateNetlist nl = generate_random_mapped(spec, f.cells);
+// Runs the engine at 1, 4 and 16 lanes and asserts byte-identical results;
+// `ref` receives the serial reference.
+void expect_byte_identical_across_threads(const Fixture& f,
+                                          const GateNetlist& nl,
+                                          AnalyticSsta::Result& ref) {
   const ParasiticDb spef = generate_parasitics(nl, f.tech);
-
   auto run_at = [&](unsigned threads) {
     AnalyticSstaOptions opt;
     opt.sta.exec.threads = threads;
     opt.sta.min_parallel_cells = 1;  // force the pool even on small designs
     return f.run_analytic(nl, spef, opt);
   };
-  const auto ref = run_at(1);
+  ref = run_at(1);
   for (unsigned t : {4u, 16u}) {
     const auto got = run_at(t);
+    ASSERT_EQ(got.folded_local_terms, ref.folded_local_terms);
+    ASSERT_EQ(got.peak_local_terms, ref.peak_local_terms);
     ASSERT_EQ(got.nets.size(), ref.nets.size());
     for (std::size_t n = 0; n < ref.nets.size(); ++n) {
       for (std::size_t e = 0; e < 2; ++e) {
@@ -347,6 +347,33 @@ TEST(SstaAnalyticDeterminism, ByteIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(SstaAnalyticDeterminism, ByteIdenticalAcrossThreadCounts) {
+  const Fixture f;
+  RandomNetlistSpec spec;
+  spec.target_cells = 300;
+  spec.seed = 7;
+  const GateNetlist nl = generate_random_mapped(spec, f.cells);
+  AnalyticSsta::Result ref;
+  expect_byte_identical_across_threads(f, nl, ref);
+}
+
+// At 2k cells most fanin cones hold more than kMaxLocalTerms local terms, so
+// this run exercises the cap's selection under every lane count.
+TEST(SstaAnalyticDeterminism, ByteIdenticalAcrossThreadCountsWithCapFiring) {
+  const Fixture f;
+  RandomNetlistSpec spec;
+  spec.target_cells = 2000;
+  spec.seed = 7;
+  const GateNetlist nl = generate_random_mapped(spec, f.cells);
+  ASSERT_GE(nl.num_cells(), 2000u);
+  AnalyticSsta::Result ref;
+  expect_byte_identical_across_threads(f, nl, ref);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(ref.folded_local_terms, 0u);
+  // The cap plus the re-key slot bound every stored arrival.
+  EXPECT_LE(ref.peak_local_terms, ssta::kMaxLocalTerms + 1);
+}
+
 // ------------------------------------------------- moment-algebra props --
 
 TEST(SstaMomentAlgebra, SeriesSumMatchesClosedFormCumulantAddition) {
@@ -358,7 +385,6 @@ TEST(SstaMomentAlgebra, SeriesSumMatchesClosedFormCumulantAddition) {
   const ssta::Stage s2 = ssta::cell_stage(m2, 1.0, true);
 
   ssta::Arrival a;
-  a.ensure_locals(2);
   a.add_stage(s1, ssta::Domain::kCell, 0.0, 1.0, 0);
   a.add_stage(s2, ssta::Domain::kCell, 0.0, 1.0, 1);
   const Moments got = a.moments();
@@ -396,10 +422,9 @@ TEST(SstaMomentAlgebra, StatMaxMonotoneInCorrelationAndExactAtFull) {
   const double s = 10e-12;
   auto make = [&](double c) {
     ssta::Arrival x;
-    x.ensure_locals(2);
     x.mu = 100e-12;
-    x.local[0][0] = s * c;
-    x.local[1][0] = s * std::sqrt(1.0 - c * c);
+    x.local_at(0)[0] = s * c;
+    x.local_at(1)[0] = s * std::sqrt(1.0 - c * c);
     return x;
   };
   const ssta::Arrival a = make(1.0);
@@ -422,6 +447,56 @@ TEST(SstaMomentAlgebra, StatMaxMonotoneInCorrelationAndExactAtFull) {
   const ssta::Arrival full = ssta::Arrival::stat_max(a, make(1.0));
   EXPECT_EQ(full.mu, a.mu);
   EXPECT_EQ(full.variance(), a.variance());
+}
+
+TEST(SstaMomentAlgebra, CapLeavesVarianceAndMomentsUnchanged) {
+  // A skewed arrival with three times the cap's terms: every third term is
+  // heavy (60 of them, distinct weights), the rest share one light weight,
+  // so the cap keeps the heavy terms plus the four lowest-index light ones.
+  constexpr std::size_t kHeavy = 60;
+  ssta::Arrival x;
+  x.mu = 200e-12;
+  x.gc = {8e-12, 1.5e-12, 0.4e-12};
+  x.gw = {3e-12, 0.5e-12, 0.1e-12};
+  x.vc = {2e-24, 0.3e-24, 0.0};
+  x.vw = {0.5e-24, 0.0, 0.0};
+  x.l2 = 4e-24;
+  x.l3 = 1e-36;
+  x.l4 = 2e-48;
+  const std::size_t n = 3 * ssta::kMaxLocalTerms;
+  std::vector<std::size_t> expect_kept;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool heavy = i % 3 == 2 && i / 3 < kHeavy;
+    const double s = heavy ? 1e-11 * (1.0 + 0.01 * static_cast<double>(i))
+                           : 1e-12;
+    std::array<double, 5>& u = x.local_at(2 * i + 5);
+    u[0] = s;
+    u[1] = -0.2 * s;
+    u[2] = 0.05 * s;
+    u[3 + i % 2] = 0.1 * s;
+    if (heavy || i < 6) expect_kept.push_back(2 * i + 5);
+  }
+  ASSERT_EQ(expect_kept.size(), ssta::kMaxLocalTerms);
+  const double var = x.variance();
+  const Moments m = x.moments();
+
+  ssta::Arrival capped = x;
+  EXPECT_EQ(capped.cap_locals(), n - ssta::kMaxLocalTerms);
+  ASSERT_EQ(capped.local.size(), ssta::kMaxLocalTerms);
+  for (std::size_t i = 0; i < capped.local.size(); ++i) {
+    EXPECT_EQ(capped.local[i].index, expect_kept[i]) << "term " << i;
+  }
+  EXPECT_NEAR(capped.variance(), var, 1e-12 * var);
+  const Moments c = capped.moments();
+  EXPECT_EQ(c.mu, m.mu);
+  EXPECT_NEAR(c.sigma, m.sigma, 1e-12 * m.sigma);
+  EXPECT_NEAR(c.gamma, m.gamma, 1e-12 * std::fabs(m.gamma));
+  EXPECT_NEAR(c.kappa, m.kappa, 1e-12 * std::fabs(m.kappa));
+
+  // At or under the cap nothing changes.
+  const ssta::Arrival again = capped;
+  EXPECT_EQ(capped.cap_locals(), 0u);
+  EXPECT_EQ(capped.variance(), again.variance());
 }
 
 TEST(SstaMomentAlgebra, ZeroVarianceStatMaxIsExactMaxFirstWinsTies) {
