@@ -13,8 +13,8 @@
 // (analysis_perf.json, skip with --no_analysis_perf), the
 // analytic-SSTA-vs-Monte-Carlo sweep across design sizes
 // (ssta_analytic_perf.json, skip with --no_ssta_sweep), and the
-// flat-SoA-graph vs legacy-netlist STA throughput/memory gate at 100k-1M
-// cells (flatgraph_perf.json, skip with --no_flatgraph_sweep), the
+// flat-SoA-graph STA throughput/memory gate at 100k-1M cells
+// (flatgraph_perf.json, skip with --no_flatgraph_sweep), the
 // nsdc_serve daemon's request throughput over a unix socket
 // (serve_perf.json, skip with --no_serve_perf), and the multi-process
 // shard-coordinator worker sweep with its kill/recovery byte-identity
@@ -826,14 +826,22 @@ std::size_t heap_bytes_now() {
 #endif
 }
 
+/// Floor on 1-lane flat nominal-STA throughput (cells/s) on the largest
+/// sweep design, the ~1M-cell TMUL. On a 4-core x86 host, nine sweeps
+/// measured 1.19-1.89 Mcells/s there (flatgraph_perf.json holds one), with
+/// whole runs landing in a fast (~1.85) or slow (~1.2-1.5) mode. The
+/// floor is the best rate the retired GateNetlist walk reached on that
+/// host (1.0 Mcells/s): below every flat run, so it does not flake, and
+/// falling to it means the flat path lost its whole advantage.
+constexpr double kFlatCellsPerSecFloor = 1.0e6;
+
 /// Million-cell-scale throughput/memory gate for the compiled SoA timing
-/// graph: legacy GateNetlist-walking STA versus the FlatTimingGraph path
-/// on ~100k / ~300k / ~1M-cell generated designs. Records compile rate,
-/// nominal-STA cells/sec on both paths, bytes/cell (flat arena accounting
-/// plus mallinfo2 deltas for both representations), and verifies the flat
-/// results byte-identical to legacy at 1 and 4 lanes. Fails (exit 1) when
-/// the flat path is not >= 1.3x legacy throughput on the largest design.
-/// The JSON record lands in flatgraph_perf.json.
+/// graph: full nominal STA on ~100k / ~300k / ~1M-cell generated designs.
+/// Records compile rate, cells/sec at 1 and 4 lanes, bytes/cell (arena
+/// accounting plus the mallinfo2 delta of the compile), and verifies the
+/// 4-lane result byte-identical to the 1-lane one. Fails (exit 1) on a
+/// divergence or when the 1-lane rate on the largest design is below
+/// kFlatCellsPerSecFloor. The JSON record lands in flatgraph_perf.json.
 int run_flatgraph_sweep(const std::string& json_path) {
   using clock = std::chrono::steady_clock;
   const TechParams tech = TechParams::nominal28();
@@ -867,7 +875,7 @@ int run_flatgraph_sweep(const std::string& json_path) {
        << "  \"sweep\": [";
   bool first = true;
   bool all_identical = true;
-  double largest_speedup = 0.0;
+  double largest_rate = 0.0;
   std::size_t largest_cells = 0;
 
   const std::pair<const char*, std::size_t> specs[] = {
@@ -875,8 +883,7 @@ int run_flatgraph_sweep(const std::string& json_path) {
   for (const auto& [kind, target] : specs) {
     const GateNetlist netlist = sized(kind, target);
     // Empty parasitics: at this scale the annotate phase degrades to
-    // pin-cap loads on both paths, keeping the measurement on the
-    // propagation kernels.
+    // pin-cap loads, keeping the measurement on the propagation kernels.
     const ParasiticDb parasitics;
     netlist.levelization();
     const DesignStats st = design_stats(netlist);
@@ -889,67 +896,41 @@ int run_flatgraph_sweep(const std::string& json_path) {
         std::chrono::duration<double>(clock::now() - tc0).count();
     const std::size_t flat_heap = heap_bytes_now() - heap0;
 
-    // Legacy representation footprint: heap delta of a deep copy of the
-    // (levelized) netlist.
-    std::size_t legacy_heap = 0;
-    {
-      const std::size_t before = heap_bytes_now();
-      const GateNetlist copy = netlist;
-      copy.levelization();
-      legacy_heap = heap_bytes_now() - before;
-    }
-
-    auto timed_run = [&](bool flat, unsigned threads,
-                         StaEngine::Result* out) {
+    auto timed_run = [&](unsigned threads, StaEngine::Result* out) {
       StaConfig cfg;
       cfg.exec.threads = threads;
       cfg.min_parallel_cells = threads > 1 ? 1 : netlist.num_cells() + 1;
-      cfg.use_flatgraph = false;  // legacy path; flat runs use the overload
       const StaEngine engine(model, tech, cfg);
       double best = 1e300;
       for (int rep = 0; rep < 2; ++rep) {
         const auto t0 = clock::now();
-        auto res = flat ? engine.run(graph, netlist, parasitics)
-                        : engine.run(netlist, parasitics);
+        auto res = engine.run(graph, netlist, parasitics);
         best = std::min(best, std::chrono::duration<double>(
                                   clock::now() - t0).count());
-        if (out) *out = std::move(res);
+        *out = std::move(res);
       }
       return best;
     };
 
-    auto identical = [](const StaEngine::Result& a,
-                        const StaEngine::Result& b) {
-      if (a.nets.size() != b.nets.size() || a.max_arrival != b.max_arrival ||
-          a.critical_net != b.critical_net) {
-        return false;
-      }
-      for (std::size_t n = 0; n < b.nets.size(); ++n) {
-        if (std::memcmp(&a.nets[n].arrival, &b.nets[n].arrival,
-                        sizeof(b.nets[n].arrival)) != 0 ||
-            std::memcmp(&a.nets[n].slew, &b.nets[n].slew,
-                        sizeof(b.nets[n].slew)) != 0) {
-          return false;
-        }
-      }
-      return true;
-    };
-
-    StaEngine::Result legacy1, flat1, legacy4, flat4;
-    const double legacy1_s = timed_run(false, 1, &legacy1);
-    const double flat1_s = timed_run(true, 1, &flat1);
-    const double legacy4_s = timed_run(false, 4, &legacy4);
-    const double flat4_s = timed_run(true, 4, &flat4);
-    const bool same =
-        identical(flat1, legacy1) && identical(flat4, legacy4) &&
-        identical(legacy4, legacy1);
+    StaEngine::Result res1, res4;
+    const double t1_s = timed_run(1, &res1);
+    const double t4_s = timed_run(4, &res4);
+    bool same = res1.nets.size() == res4.nets.size() &&
+                res1.max_arrival == res4.max_arrival &&
+                res1.critical_net == res4.critical_net;
+    for (std::size_t n = 0; same && n < res1.nets.size(); ++n) {
+      same = std::memcmp(&res1.nets[n].arrival, &res4.nets[n].arrival,
+                         sizeof(res1.nets[n].arrival)) == 0 &&
+             std::memcmp(&res1.nets[n].slew, &res4.nets[n].slew,
+                         sizeof(res1.nets[n].slew)) == 0;
+    }
     all_identical = all_identical && same;
 
     const double cells = static_cast<double>(netlist.num_cells());
-    const double speedup = legacy1_s / flat1_s;
+    const double rate = cells / t1_s;
     if (netlist.num_cells() > largest_cells) {
       largest_cells = netlist.num_cells();
-      largest_speedup = speedup;
+      largest_rate = rate;
     }
 
     json << (first ? "" : ",") << "\n    {\"design\": \"" << netlist.name()
@@ -958,44 +939,37 @@ int run_flatgraph_sweep(const std::string& json_path) {
          << ", \"avg_fanout\": " << st.avg_fanout
          << ",\n     \"compile_seconds\": " << compile_s
          << ", \"compile_cells_per_sec\": " << cells / compile_s
-         << ",\n     \"legacy_seconds\": " << legacy1_s
-         << ", \"flat_seconds\": " << flat1_s
-         << ", \"speedup\": " << speedup
-         << ", \"legacy_cells_per_sec\": " << cells / legacy1_s
-         << ", \"flat_cells_per_sec\": " << cells / flat1_s
-         << ",\n     \"legacy_seconds_4t\": " << legacy4_s
-         << ", \"flat_seconds_4t\": " << flat4_s
-         << ", \"speedup_4t\": " << legacy4_s / flat4_s
+         << ",\n     \"flat_seconds\": " << t1_s
+         << ", \"flat_cells_per_sec\": " << rate
+         << ", \"flat_seconds_4t\": " << t4_s
+         << ", \"flat_cells_per_sec_4t\": " << cells / t4_s
          << ",\n     \"flat_bytes_per_cell\": "
          << static_cast<double>(graph.memory_bytes()) / cells
          << ", \"flat_heap_bytes_per_cell\": "
          << static_cast<double>(flat_heap) / cells
-         << ", \"legacy_heap_bytes_per_cell\": "
-         << static_cast<double>(legacy_heap) / cells
          << ",\n     \"bit_identical\": " << (same ? "true" : "false")
          << "}";
     first = false;
     std::cerr << "[flatgraph-sweep] " << netlist.name() << ": compile "
               << compile_s * 1e3 << " ms (" << cells / compile_s / 1e6
-              << " Mcells/s)  legacy " << legacy1_s * 1e3 << " ms  flat "
-              << flat1_s * 1e3 << " ms  speedup " << speedup << " (4t "
-              << legacy4_s / flat4_s << ")  flat "
+              << " Mcells/s)  sta " << t1_s * 1e3 << " ms (" << rate / 1e6
+              << " Mcells/s, 4t " << t4_s * 1e3 << " ms)  "
               << static_cast<double>(graph.memory_bytes()) / cells
-              << " B/cell vs legacy "
-              << static_cast<double>(legacy_heap) / cells << " B/cell"
-              << (same ? "" : "  MISMATCH") << "\n";
+              << " B/cell" << (same ? "" : "  MISMATCH") << "\n";
   }
-  json << "\n  ],\n  \"largest_design_speedup\": " << largest_speedup
-       << ",\n  \"speedup_gate\": 1.3\n}\n";
+  json << "\n  ],\n  \"largest_design_cells_per_sec\": " << largest_rate
+       << ",\n  \"cells_per_sec_floor\": " << kFlatCellsPerSecFloor
+       << "\n}\n";
   std::cerr << "[flatgraph-sweep] wrote " << json_path << "\n";
   if (!all_identical) {
-    std::cerr << "[flatgraph-sweep] ERROR: flat result diverged from the "
-                 "legacy engine\n";
+    std::cerr << "[flatgraph-sweep] ERROR: 4-lane result diverged from the "
+                 "1-lane run\n";
     return 1;
   }
-  if (largest_speedup < 1.3) {
-    std::cerr << "[flatgraph-sweep] ERROR: flat speedup " << largest_speedup
-              << " on the largest design is below the 1.3x gate\n";
+  if (largest_rate < kFlatCellsPerSecFloor) {
+    std::cerr << "[flatgraph-sweep] ERROR: " << largest_rate / 1e6
+              << " Mcells/s on the largest design is below the "
+              << kFlatCellsPerSecFloor / 1e6 << " Mcells/s floor\n";
     return 1;
   }
   return 0;

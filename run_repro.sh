@@ -32,8 +32,8 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 # (sta_parallel, netmc_parallel, incremental_sta, netmc_checkpoint,
 # ssta_analytic, analysis, flatgraph) in the working directory as a side
 # effect; each opens with the shared perfjson envelope (schema_version +
-# host block). flatgraph_perf.json additionally enforces the >=1.3x
-# SoA-vs-legacy throughput gate on the largest (~1M-cell) design.
+# host block). flatgraph_perf.json additionally enforces a 1.0 Mcells/s
+# flat-STA throughput floor on the largest (~1M-cell) design.
 {
   for b in build/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue

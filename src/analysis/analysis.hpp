@@ -82,10 +82,6 @@ struct AnalysisOptions {
   double variation_scale = 1.0;
   /// Cornish-Fisher-shaped cell draws, matched to the engines.
   bool moment_shaping = true;
-  /// Run interval propagation over the compiled FlatTimingGraph (SoA
-  /// layout + per-arc records). Byte-identical to the legacy walk; false
-  /// forces the legacy GateNetlist path (equivalence tests).
-  bool use_flatgraph = true;
   /// Relative width of the near-boundary band (fraction of each table
   /// axis range) that the domain audit reports as a break-point hazard.
   double domain_epsilon = 0.05;
@@ -297,6 +293,8 @@ AnalysisReport run_analysis(const AnalysisInput& input,
 /// bench_micro_perf). Requires netlist + parasitics + tech + cell_model +
 /// wire_model and a clean structure — throws std::invalid_argument
 /// otherwise. `annotated` must hold sta_kernel-annotated trees and loads.
+/// Walks a FlatTimingGraph compiled from the netlist; a reachable cell
+/// type absent from cell_model throws std::out_of_range.
 IntervalResult propagate_intervals(const AnalysisInput& input,
                                    const AnalysisOptions& options,
                                    const StaEngine::Result& annotated);

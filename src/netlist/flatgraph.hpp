@@ -7,9 +7,10 @@
 //     with >= 2^32 - 1 of any of these are rejected at compile() time.
 //   - Level-contiguous cell order: cells are stored by *position*, where
 //     positions [level_begin(l), level_end(l)) hold exactly the cells of
-//     topological level l, in ascending legacy cell-index order — the same
-//     order StaEngine's per-level parallel_for visits them, so a linear
-//     sweep over positions replays the legacy propagation order.
+//     topological level l, in ascending GateNetlist cell-index order — the
+//     order GateNetlist::levelization() lists them and IncrementalSta
+//     replays them, so a linear sweep over positions replays that
+//     propagation order.
 //   - CSR adjacency: one fanin arc slot per input pin, packed contiguously
 //     per position ([fanin_begin(pos), fanin_end(pos)) ); per-net fanout
 //     entries packed in net.sinks order ([fanout_begin(n), fanout_end(n))).
@@ -23,7 +24,7 @@
 // and names but shares CellType pointers with the caller-owned library.
 // It records the netlist generation() it was compiled at; consumers must
 // check source_generation() before trusting it (see StaEngine). The
-// legacy GateNetlist stays authoritative for edits, lint, and IO — a
+// GateNetlist stays authoritative for edits, lint, and IO — a
 // FlatTimingGraph is never mutated, only recompiled.
 
 #include <cstddef>
@@ -69,7 +70,7 @@ class FlatTimingGraph {
   bool inverting(Id pos) const { return inverting_[pos] != 0; }
   Id fanin_begin(Id pos) const { return cell_fanin_begin_[pos]; }
   Id fanin_end(Id pos) const { return cell_fanin_begin_[pos + 1]; }
-  /// Position of a legacy cell index.
+  /// Position of a GateNetlist cell index.
   Id position_of_cell(Id cell) const { return cell_pos_[cell]; }
 
   // --- Per-arc fanin arrays (arc = position's pin slot) -------------------
@@ -134,7 +135,7 @@ class FlatTimingGraph {
   std::vector<std::uint8_t> inverting_;
   std::vector<Id> cell_fanin_begin_;  ///< num_cells + 1
 
-  // Per legacy cell index.
+  // Per GateNetlist cell index.
   std::vector<Id> cell_pos_;
 
   // Per fanin arc.

@@ -1,9 +1,9 @@
 #pragma once
 // Graph-based static timing: dual-rail (rise/fall) mean-delay propagation
-// over the levelized netlist, Elmore wire delays from annotated
-// parasitics, slew propagation through the NLDM-style mean tables, and
-// critical-path extraction into a PathDescription for the statistical
-// calculators.
+// over the compiled FlatTimingGraph (flatsta.hpp), Elmore wire delays from
+// annotated parasitics, slew propagation through the NLDM-style mean
+// tables, and critical-path extraction into a PathDescription for the
+// statistical calculators.
 //
 // Propagation runs level-by-level with a barrier between levels: cells in
 // the same level have no mutual dependencies, so each level fans out over
@@ -31,11 +31,6 @@ struct StaConfig {
   ExecContext exec{};
   /// Below this many cells the engine runs serially on the calling thread.
   std::size_t min_parallel_cells = 2048;
-  /// Run the hot paths on the compiled FlatTimingGraph (SoA layout, see
-  /// flatsta.hpp). Byte-identical to the legacy GateNetlist kernels at
-  /// any thread count; false forces the legacy path (equivalence tests,
-  /// A/B benchmarking).
-  bool use_flatgraph = true;
 
   /// True when a netlist of `cells` cells should use the pool.
   bool parallel_for_size(std::size_t cells) const {
@@ -71,11 +66,12 @@ class StaEngine {
     int critical_edge = 0;  ///< 0 rise / 1 fall at the PO net
   };
 
+  /// Compiles a FlatTimingGraph of `netlist` and runs on it.
   Result run(const GateNetlist& netlist, const ParasiticDb& parasitics) const;
 
-  /// Flat-graph run on a pre-compiled graph (implemented in flatsta.cpp).
-  /// Byte-identical to the legacy path. Throws std::invalid_argument when
-  /// the graph is stale (source_generation() != netlist.generation()).
+  /// Full run on a pre-compiled graph (implemented in flatsta.cpp). Throws
+  /// std::invalid_argument when the graph is stale (source_generation() !=
+  /// netlist.generation()).
   /// When `keep_records` is non-null the bound per-arc records (charlib
   /// handles, Elmore) are returned for reuse by downstream engines.
   Result run(const FlatTimingGraph& graph, const GateNetlist& netlist,
@@ -98,10 +94,11 @@ class StaEngine {
   StaConfig config_{};
 };
 
-/// Shared propagation kernels. The full engine and IncrementalSta both run
-/// these exact functions, which is what makes incremental re-propagation
-/// bit-identical to a from-scratch run: every slot of a Result is produced
-/// by the same floating-point operations on the same inputs either way.
+/// Per-cell kernels on the mutable netlist, for IncrementalSta's cone
+/// replay, the nsdc_dist STA worker and the analysis prep annotation.
+/// Each one performs exactly the floating-point operations of its
+/// flat_kernel twin (flatsta.hpp) in the same order, which is what makes
+/// incremental re-propagation bit-identical to a from-scratch run.
 namespace sta_kernel {
 
 /// (Re)annotates net `n` into `res`: copies the parasitic tree, adds

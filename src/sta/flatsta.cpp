@@ -34,7 +34,7 @@ void bind_arc_records(const FlatTimingGraph& graph,
   // One resolution per distinct CellType: NSigmaCellModel ignores the pin
   // and keys by (cell name, input edge). A type absent from the model
   // resolves to nullptrs; its arcs fall back to the throwing string path
-  // only if propagation actually evaluates them (legacy behavior).
+  // only if propagation actually evaluates them.
   std::unordered_map<const CellType*, std::array<const CellArcModel*, 2>>
       by_type;
   for (Id pos = 0; pos < graph.num_cells(); ++pos) {
@@ -63,8 +63,8 @@ void bind_arc_records(const FlatTimingGraph& graph,
       const RcTree& tree = res.annotated[fan];
       if (tree.num_nodes() > 1) {
         rec.has_tree[arc] = 1;
-        // Same call the legacy kernel makes per visit, so the stored
-        // double is bit-identical to the recomputed one.
+        // Same call sta_kernel::propagate_cell makes per visit, so the
+        // stored double is bit-identical to the recomputed one.
         rec.elmore[arc] = tree.elmore(
             tree.sink_node(graph.sink_name(graph.fanin_sink(arc))));
       }
@@ -79,7 +79,7 @@ void bind_wire_xw(const FlatTimingGraph& graph, const NSigmaWireModel& wire,
   rec.xw.assign(num_arcs, 0.0);
   // X_w depends only on the (driver type, sink type) pair; cache the
   // string-keyed model call per pair. PI-driven nets use the "INVx4"
-  // driver stand-in, matching every legacy engine.
+  // driver stand-in.
   std::unordered_map<const CellType*, std::unordered_map<const CellType*, double>>
       cache;
   static const std::string kPiDriver = "INVx4";
@@ -157,7 +157,7 @@ void flat_propagate_cell(const FlatTimingGraph& graph,
       const auto& fan_time = res.nets[fan];
       if (!fan_time.reachable) continue;
       // Wire delay from the fanin driver to this pin (precomputed by the
-      // exact legacy tree.elmore call in bind_arc_records).
+      // exact sta_kernel tree.elmore call in bind_arc_records).
       const double wire_delay = rec.has_tree[arc] ? rec.elmore[arc] : 0.0;
       const double slew_in = fan_time.slew[static_cast<std::size_t>(in_edge)];
       const CellArcModel* am = models[arc];

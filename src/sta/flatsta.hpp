@@ -1,5 +1,5 @@
 #pragma once
-// Flat-graph STA kernels: the FlatTimingGraph counterparts of sta_kernel.
+// Flat-graph STA kernels: the full-pass path of every timing engine.
 //
 // FlatArcRecords packs the per-arc annotation every engine needs —
 // resolved charlib surface handles, the Elmore delay to each sink pin,
@@ -8,14 +8,15 @@
 // per-visit name construction with array reads.
 //
 // Byte-identity contract: each flat kernel performs exactly the floating-
-// point operations of its sta_kernel twin, in the same order, on the same
-// inputs. NSigmaCellModel keys arcs by (cell name, input edge) and
-// ignores the pin, so one handle per (CellType, edge) reproduces every
-// per-arc string lookup; Elmore is precomputed by the same
-// tree.elmore(tree.sink_node(name)) call the legacy kernel makes per
-// visit. Handles that fail to resolve (cell type absent from the model)
-// stay null and the kernels fall back to the legacy string path, which
-// throws exactly where the legacy engine would.
+// point operations of its sta_kernel twin (engine.hpp, which IncrementalSta
+// replays), in the same order, on the same inputs. NSigmaCellModel keys
+// arcs by (cell name, input edge) and ignores the pin, so one handle per
+// (CellType, edge) reproduces every per-arc string lookup; Elmore is
+// precomputed by the same tree.elmore(tree.sink_node(name)) call the
+// sta_kernel twin makes per visit. Handles that fail to resolve (cell type
+// absent from the model) stay null and the kernels fall back to the
+// string-keyed lookup, which throws std::out_of_range when a reachable
+// cell of that type is evaluated.
 
 #include <array>
 #include <cstddef>
@@ -57,9 +58,9 @@ void bind_arc_records(const FlatTimingGraph& graph,
                       FlatArcRecords& rec);
 
 /// Fills rec.xw for every arc with a tree: wire.xw(driver cell type,
-/// sink cell type), with the "INVx4" driver fallback for PI-driven nets
-/// (matching NetlistMonteCarlo / AnalyticSsta / analysis). Cached per
-/// (driver type, sink type) pair.
+/// sink cell type), with the "INVx4" driver fallback for PI-driven nets;
+/// read by NetlistMonteCarlo, AnalyticSsta and the interval analysis.
+/// Cached per (driver type, sink type) pair.
 void bind_wire_xw(const FlatTimingGraph& graph, const NSigmaWireModel& wire,
                   FlatArcRecords& rec);
 

@@ -1,10 +1,11 @@
 // FlatTimingGraph contract tests: compile/round-trip equivalence against
 // the source GateNetlist, CSR adjacency invariants, level contiguity,
-// interned-name fidelity — and the byte-identity guarantee: StaEngine,
-// NetlistMonteCarlo, and AnalyticSsta must produce bit-identical results
-// on the flat path and the legacy path, at 1 and 4 threads. Plus the
-// scale gate: a 100k-cell designgen netlist compiles under a wall bound,
-// and the new 100k+ generators are structurally lint-clean DAGs.
+// interned-name fidelity — and the bound per-arc records every engine
+// reads: each record must equal the string-keyed model/Elmore/X_w lookup
+// it replaces, and a cell type missing from the model must still make
+// every engine throw. Plus the scale gate: a 100k-cell designgen netlist
+// compiles under a wall bound, and the new 100k+ generators are
+// structurally lint-clean DAGs.
 #include "netlist/flatgraph.hpp"
 
 #include <gtest/gtest.h>
@@ -30,16 +31,6 @@ namespace {
 
 std::string repo_path(const std::string& rel) {
   return std::string(NSDC_SOURCE_DIR) + "/" + rel;
-}
-
-/// StaConfig pinned to `threads` lanes with the parallel path forced on
-/// (the default min_parallel_cells would keep these designs serial).
-StaConfig exec_config(unsigned threads, bool use_flatgraph) {
-  StaConfig cfg;
-  cfg.exec.threads = threads;
-  cfg.min_parallel_cells = threads > 1 ? 1 : 1u << 30;
-  cfg.use_flatgraph = use_flatgraph;
-  return cfg;
 }
 
 /// Owns library + models + one design + its parasitics (CellInst stores
@@ -84,35 +75,6 @@ const std::vector<std::pair<const char*, BuildFn>>& design_matrix() {
       {"random-500", &build_random500},
   };
   return designs;
-}
-
-/// Byte-level equality of everything STA consumers read from a Result.
-void expect_sta_identical(const StaEngine::Result& got,
-                          const StaEngine::Result& ref,
-                          const std::string& what) {
-  ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-  EXPECT_EQ(got.max_arrival, ref.max_arrival) << what;
-  EXPECT_EQ(got.critical_net, ref.critical_net) << what;
-  EXPECT_EQ(got.critical_edge, ref.critical_edge) << what;
-  for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-    const auto& g = got.nets[n];
-    const auto& r = ref.nets[n];
-    ASSERT_TRUE(std::memcmp(g.arrival.data(), r.arrival.data(),
-                            sizeof(g.arrival)) == 0 &&
-                std::memcmp(g.slew.data(), r.slew.data(), sizeof(g.slew)) ==
-                    0 &&
-                g.from_pin == r.from_pin && g.reachable == r.reachable &&
-                got.net_load[n] == ref.net_load[n])
-        << what << ": net " << n << " diverged";
-  }
-}
-
-void expect_moments_identical(const Moments& a, const Moments& b,
-                              const std::string& what) {
-  EXPECT_EQ(a.mu, b.mu) << what;
-  EXPECT_EQ(a.sigma, b.sigma) << what;
-  EXPECT_EQ(a.gamma, b.gamma) << what;
-  EXPECT_EQ(a.kappa, b.kappa) << what;
 }
 
 // ------------------------------------------------ compile round-trip
@@ -305,128 +267,117 @@ TEST(FlatGraph, MemoryBytesIsPopulated) {
   EXPECT_LT(g.memory_bytes(), static_cast<std::size_t>(g.num_cells()) * 4096);
 }
 
-// ------------------------------------------------ engine byte-identity
+// ------------------------------------------------ bound arc records
 
-TEST(FlatGraphIdentity, StaEngineFlatMatchesLegacyAt1And4Threads) {
+/// Bit equality of two doubles (EXPECT_EQ would also accept -0.0 == 0.0).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Every record the engines read in place of a string-keyed lookup is
+// exactly that lookup's value: the charlib handle, the Elmore delay on the
+// tree annotated by sta_kernel::annotate_net, and X_w with the "INVx4"
+// stand-in for PI-driven nets.
+TEST(FlatGraph, ArcRecordsMatchStringKeyedLookups) {
   for (const auto& [name, build] : design_matrix()) {
     const DesignFixture fx(build);
-    for (unsigned threads : {1u, 4u}) {
-      const StaEngine legacy(fx.model, fx.tech,
-                             exec_config(threads, /*use_flatgraph=*/false));
-      const StaEngine flat(fx.model, fx.tech,
-                           exec_config(threads, /*use_flatgraph=*/true));
-      expect_sta_identical(flat.run(fx.nl, fx.spef),
-                           legacy.run(fx.nl, fx.spef),
-                           std::string(name) + " @" +
-                               std::to_string(threads) + "t");
+    const GateNetlist& nl = fx.nl;
+    const FlatTimingGraph g = FlatTimingGraph::compile(nl);
+    FlatArcRecords rec;
+    const StaEngine engine(fx.model, fx.tech);
+    const StaEngine::Result res = engine.run(g, nl, fx.spef, &rec);
+    flat_kernel::bind_wire_xw(g, fx.wire_model, rec);
+
+    StaEngine::Result ref;
+    ref.annotated.resize(nl.num_nets());
+    ref.net_load.assign(nl.num_nets(), 0.0);
+    for (std::size_t n = 0; n < nl.num_nets(); ++n) {
+      sta_kernel::annotate_net(nl, fx.spef, fx.tech, n, ref);
+      EXPECT_TRUE(same_bits(res.net_load[n], ref.net_load[n]))
+          << name << ": net " << n;
     }
+
+    using Id = FlatTimingGraph::Id;
+    ASSERT_EQ(rec.elmore.size(), g.num_arcs()) << name;
+    ASSERT_EQ(rec.xw.size(), g.num_arcs()) << name;
+    std::size_t with_tree = 0;
+    std::size_t pi_driven = 0;
+    for (Id pos = 0; pos < g.num_cells(); ++pos) {
+      const CellInst& inst = nl.cell(static_cast<int>(g.cell_id(pos)));
+      const std::string& type = inst.type->name();
+      for (std::size_t p = 0; p < inst.fanin_nets.size(); ++p) {
+        const int pin = static_cast<int>(p);
+        const Id arc = g.fanin_begin(pos) + static_cast<Id>(p);
+        const std::string what = std::string(name) + ": " + inst.name + ":" +
+                                 std::to_string(pin);
+        for (int e = 0; e < 2; ++e) {
+          EXPECT_EQ(rec.arc_model[static_cast<std::size_t>(e)][arc],
+                    &fx.model.arc(type, pin, e == 0))
+              << what;
+        }
+        const int fan = inst.fanin_nets[p];
+        const bool has_tree =
+            fan >= 0 &&
+            ref.annotated[static_cast<std::size_t>(fan)].num_nodes() > 1;
+        EXPECT_EQ(rec.has_tree[arc] != 0, has_tree) << what;
+        if (!has_tree) continue;
+        ++with_tree;
+        const RcTree& tree = ref.annotated[static_cast<std::size_t>(fan)];
+        EXPECT_TRUE(same_bits(
+            rec.elmore[arc],
+            tree.elmore(tree.sink_node(sink_pin_name(inst, pin)))))
+            << what;
+        const int drv = nl.net(fan).driver_cell;
+        if (drv < 0) ++pi_driven;
+        const std::string drv_type =
+            drv >= 0 ? nl.cell(drv).type->name() : "INVx4";
+        EXPECT_TRUE(same_bits(rec.xw[arc], fx.wire_model.xw(drv_type, type)))
+            << what;
+      }
+    }
+    // Neither branch is vacuous: wired arcs, PI-driven ones among them.
+    EXPECT_GT(with_tree, 0u) << name;
+    EXPECT_GT(pi_driven, 0u) << name;
   }
 }
 
-TEST(FlatGraphIdentity, NetMcFlatMatchesLegacyAt1And4Threads) {
-  const DesignFixture fx(&build_c432);
+// A cell type the model lacks keeps null handles; the string-keyed
+// fallback must still make every engine throw rather than read a null arc.
+TEST(FlatGraph, CellTypeMissingFromModelThrowsInEveryEngine) {
+  const DesignFixture fx(&build_c17);
+  const std::string missing = fx.nl.cell(0).type->name();
+  CharLib partial;
+  partial.set_tech(fx.charlib.tech());
+  partial.set_config(fx.charlib.config());
+  for (const auto& arc : fx.charlib.arcs()) {
+    if (arc.cell != missing) partial.add_arc(arc);
+  }
+  const NSigmaCellModel model = NSigmaCellModel::fit(partial);
+  ASSERT_THROW(model.arc(missing, 0, true), std::out_of_range);
+
+  EXPECT_THROW(StaEngine(model, fx.tech).run(fx.nl, fx.spef),
+               std::out_of_range);
   McConfig mc;
-  mc.samples = 192;
-  mc.seed = 99;
-  for (unsigned threads : {1u, 4u}) {
-    mc.threads = threads;
-    NetMcOptions legacy_opt, flat_opt;
-    legacy_opt.sta.use_flatgraph = false;
-    flat_opt.sta.use_flatgraph = true;
-    const NetlistMonteCarlo legacy(fx.model, fx.wire_model, fx.tech,
-                                   legacy_opt);
-    const NetlistMonteCarlo flat(fx.model, fx.wire_model, fx.tech, flat_opt);
-    const auto ref = legacy.run(fx.nl, fx.spef, mc);
-    const auto got = flat.run(fx.nl, fx.spef, mc);
-    const std::string what = "netmc @" + std::to_string(threads) + "t";
-    ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-      for (int e = 0; e < 2; ++e) {
-        const auto& a = got.nets[n][static_cast<std::size_t>(e)];
-        const auto& b = ref.nets[n][static_cast<std::size_t>(e)];
-        EXPECT_EQ(a.count, b.count) << what;
-        expect_moments_identical(a.moments, b.moments, what);
-      }
-    }
-    ASSERT_EQ(got.po_nets, ref.po_nets) << what;
-    ASSERT_EQ(got.po_samples.size(), ref.po_samples.size()) << what;
-    for (std::size_t p = 0; p < ref.po_samples.size(); ++p) {
-      EXPECT_EQ(got.po_samples[p], ref.po_samples[p]) << what;
-    }
-    EXPECT_EQ(got.circuit_samples, ref.circuit_samples) << what;
-    EXPECT_EQ(got.worst_po, ref.worst_po) << what;
-    expect_moments_identical(got.worst_po_moments, ref.worst_po_moments,
-                             what);
-  }
-}
+  mc.samples = 16;
+  mc.seed = 5;
+  EXPECT_THROW(NetlistMonteCarlo(model, fx.wire_model, fx.tech)
+                   .run(fx.nl, fx.spef, mc),
+               std::out_of_range);
+  EXPECT_THROW(AnalyticSsta(model, fx.wire_model, fx.tech).run(fx.nl, fx.spef),
+               std::out_of_range);
 
-TEST(FlatGraphIdentity, AnalyticSstaFlatMatchesLegacyAt1And4Threads) {
-  const DesignFixture fx(&build_c432);
-  for (unsigned threads : {1u, 4u}) {
-    AnalyticSstaOptions legacy_opt, flat_opt;
-    legacy_opt.sta = exec_config(threads, /*use_flatgraph=*/false);
-    flat_opt.sta = exec_config(threads, /*use_flatgraph=*/true);
-    const AnalyticSsta legacy(fx.model, fx.wire_model, fx.tech, legacy_opt);
-    const AnalyticSsta flat(fx.model, fx.wire_model, fx.tech, flat_opt);
-    const auto ref = legacy.run(fx.nl, fx.spef);
-    const auto got = flat.run(fx.nl, fx.spef);
-    const std::string what = "ssta @" + std::to_string(threads) + "t";
-    ASSERT_EQ(got.nets.size(), ref.nets.size()) << what;
-    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-      for (int e = 0; e < 2; ++e) {
-        const auto& a = got.nets[n][static_cast<std::size_t>(e)];
-        const auto& b = ref.nets[n][static_cast<std::size_t>(e)];
-        EXPECT_EQ(a.reachable, b.reachable) << what;
-        expect_moments_identical(a.moments, b.moments, what);
-      }
-    }
-    ASSERT_EQ(got.po_nets, ref.po_nets) << what;
-    EXPECT_EQ(got.worst_po, ref.worst_po) << what;
-    expect_moments_identical(got.worst_po_moments, ref.worst_po_moments,
-                             what);
-    EXPECT_EQ(got.worst_po_quantiles, ref.worst_po_quantiles) << what;
-  }
-}
-
-TEST(FlatGraphIdentity, IntervalPropagationFlatMatchesLegacy) {
-  const DesignFixture fx(&build_c432);
-  const StaEngine engine(fx.model, fx.tech);
-  const StaEngine::Result annotated = engine.run(fx.nl, fx.spef);
+  // Intervals take an annotation made with the full model, so only the
+  // interval walk itself meets the missing type.
+  const StaEngine::Result annotated =
+      StaEngine(fx.model, fx.tech).run(fx.nl, fx.spef);
   AnalysisInput input;
   input.netlist = &fx.nl;
   input.parasitics = &fx.spef;
-  input.charlib = &fx.charlib;
-  input.cell_model = &fx.model;
+  input.cell_model = &model;
   input.wire_model = &fx.wire_model;
   input.tech = &fx.tech;
-  AnalysisOptions legacy_opt, flat_opt;
-  legacy_opt.use_flatgraph = false;
-  flat_opt.use_flatgraph = true;
-  const IntervalResult ref = propagate_intervals(input, legacy_opt, annotated);
-  const IntervalResult got = propagate_intervals(input, flat_opt, annotated);
-  ASSERT_EQ(got.nets.size(), ref.nets.size());
-  for (std::size_t n = 0; n < ref.nets.size(); ++n) {
-    const auto& a = got.nets[n];
-    const auto& b = ref.nets[n];
-    EXPECT_EQ(a.reachable, b.reachable) << n;
-    for (int e = 0; e < 2; ++e) {
-      EXPECT_EQ(a.arrival[static_cast<std::size_t>(e)].lo,
-                b.arrival[static_cast<std::size_t>(e)].lo)
-          << n;
-      EXPECT_EQ(a.arrival[static_cast<std::size_t>(e)].hi,
-                b.arrival[static_cast<std::size_t>(e)].hi)
-          << n;
-      EXPECT_EQ(a.slew[static_cast<std::size_t>(e)].lo,
-                b.slew[static_cast<std::size_t>(e)].lo)
-          << n;
-      EXPECT_EQ(a.slew[static_cast<std::size_t>(e)].hi,
-                b.slew[static_cast<std::size_t>(e)].hi)
-          << n;
-    }
-  }
-  ASSERT_EQ(got.po_nets, ref.po_nets);
-  EXPECT_EQ(got.max_arrival.lo, ref.max_arrival.lo);
-  EXPECT_EQ(got.max_arrival.hi, ref.max_arrival.hi);
+  EXPECT_THROW(propagate_intervals(input, AnalysisOptions{}, annotated),
+               std::out_of_range);
 }
 
 // ------------------------------------------------ scale generators

@@ -286,7 +286,17 @@ void expect_quantile_equivalence(const Fixture& f, const GateNetlist& nl,
   }
 #if !NSDC_SANITIZED
   // Acceptance: >= 100x lower wall time than the 100k-sample reference.
-  EXPECT_GE(mc.runtime_seconds, 100.0 * an.runtime_seconds) << what;
+  // The analytic side is the mean of back-to-back runs spanning at least
+  // 20 ms: on c17 one run takes ~0.5 ms, so a single scheduler preemption
+  // inside it would decide the ratio on a loaded host.
+  double an_seconds = an.runtime_seconds;
+  int an_runs = 1;
+  while (an_seconds < 0.02) {
+    an_seconds += f.run_analytic(nl, spef, aopt).runtime_seconds;
+    ++an_runs;
+  }
+  EXPECT_GE(mc.runtime_seconds, 100.0 * an_seconds / an_runs)
+      << what << " (analytic mean of " << an_runs << " runs)";
 #endif
 }
 
