@@ -23,6 +23,7 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -31,8 +32,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -1122,9 +1125,13 @@ int run_serve_perf(const std::string& json_path) {
 /// same netlist-MC run at 1/2/4 fork/exec'd workers versus the in-process
 /// single-run reference, plus a recovery run with a SIGKILL injected
 /// mid-shard (NSDC_FAULTS, inherited by the worker fleet) measuring the
-/// retry/resume overhead. Every distributed run — the killed one included
-/// — must merge byte-identical to the in-process reference; a mismatch
-/// fails the record (exit 1). The JSON record lands in dist_perf.json.
+/// retry/resume overhead. Each run's wall time splits into compute (the
+/// in-process 1-lane run divided over the workers), the bundle build every
+/// worker pays at spawn, and the rest: overhead (spawn, hand-off, checkpoint
+/// load, merge). Times are medians of kReps runs. Every distributed run —
+/// the killed one included — must merge byte-identical to the in-process
+/// reference; a mismatch fails the record (exit 1). The JSON record lands
+/// in dist_perf.json.
 int run_dist_sweep(const std::string& json_path) {
   using clock = std::chrono::steady_clock;
   dist::BundleSpec spec;  // mul/5: the shard tests' deterministic bundle
@@ -1132,21 +1139,43 @@ int run_dist_sweep(const std::string& json_path) {
   spec.size = 8;
   constexpr int kSamples = 256;
   constexpr std::uint64_t kSeed = 4242;
+  constexpr std::size_t kShards = 8;
+  constexpr int kReps = 5;
+  const auto seconds_since = [](clock::time_point t0) {
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  const auto median_of = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
 
-  const dist::DesignBundle bundle = dist::make_bundle(spec);
+  std::vector<double> build_times;
+  std::optional<dist::DesignBundle> built;
+  for (int r = 0; r < kReps; ++r) {
+    const auto b0 = clock::now();
+    built.emplace(dist::make_bundle(spec));
+    build_times.push_back(seconds_since(b0));
+  }
+  const dist::DesignBundle& bundle = *built;
+  const double build_s = median_of(build_times);
   const NetlistMonteCarlo mc(bundle.cell_model, bundle.wire_model,
                              bundle.tech);
   McConfig cfg;
   cfg.samples = kSamples;
   cfg.seed = kSeed;
   cfg.threads = 1;
-  const auto t0 = clock::now();
-  const auto ref = mc.run(bundle.netlist, bundle.parasitics, cfg);
-  const double local_s =
-      std::chrono::duration<double>(clock::now() - t0).count();
+  NetlistMonteCarlo::Result ref;
+  std::vector<double> local_times;
+  for (int r = 0; r < kReps; ++r) {
+    const auto t0 = clock::now();
+    ref = mc.run(bundle.netlist, bundle.parasitics, cfg);
+    local_times.push_back(seconds_since(t0));
+  }
+  const double local_s = median_of(local_times);
   std::cerr << "[dist-sweep] design MUL" << spec.size << ": "
             << bundle.netlist.num_cells() << " cells, " << kSamples
-            << " samples, in-process " << local_s * 1e3 << " ms\n";
+            << " samples, in-process " << local_s * 1e3
+            << " ms, bundle build " << build_s * 1e3 << " ms\n";
 
   auto identical = [&](const NetlistMonteCarlo::Result& got) {
     if (got.circuit_samples.size() != ref.circuit_samples.size() ||
@@ -1172,7 +1201,7 @@ int run_dist_sweep(const std::string& json_path) {
     dist::DistOptions opt;
     opt.mode = "mc";
     opt.workers = workers;
-    opt.shards = 8;
+    opt.shards = kShards;
     opt.samples = kSamples;
     opt.seed = kSeed;
     opt.bundle = spec;
@@ -1193,7 +1222,10 @@ int run_dist_sweep(const std::string& json_path) {
   json << ",\n  \"design\": \"" << bundle.netlist.name() << "\",\n"
        << "  \"cells\": " << bundle.netlist.num_cells() << ",\n"
        << "  \"samples\": " << kSamples << ",\n"
+       << "  \"shards\": " << kShards << ",\n"
+       << "  \"reps\": " << kReps << ",\n"
        << "  \"in_process_seconds\": " << local_s << ",\n"
+       << "  \"bundle_build_seconds\": " << build_s << ",\n"
        << "  \"runs\": [";
   bool first = true;
   bool all_identical = true;
@@ -1201,20 +1233,29 @@ int run_dist_sweep(const std::string& json_path) {
   for (const unsigned workers : {1u, 2u, 4u}) {
     const auto opt =
         options_for(workers, ("w" + std::to_string(workers)).c_str());
-    const auto w0 = clock::now();
-    const dist::DistResult res = dist::run_coordinator(opt);
-    const double secs =
-        std::chrono::duration<double>(clock::now() - w0).count();
+    std::vector<double> times;
+    bool same = true;
+    for (int r = 0; r < kReps; ++r) {
+      const auto w0 = clock::now();
+      const dist::DistResult res = dist::run_coordinator(opt);
+      times.push_back(seconds_since(w0));
+      same = same && res.complete && identical(res.mc);
+    }
+    const double secs = median_of(times);
     if (workers == 1) one_worker_s = secs;
-    const bool same = res.complete && identical(res.mc);
     all_identical = all_identical && same;
+    const double compute_s = local_s / workers;
+    const double overhead_s = secs - compute_s - build_s;
     json << (first ? "" : ",") << "\n    {\"workers\": " << workers
          << ", \"seconds\": " << secs
+         << ", \"compute_seconds\": " << compute_s
+         << ", \"overhead_seconds\": " << overhead_s
          << ", \"speedup_vs_1\": " << one_worker_s / secs
          << ", \"byte_identical\": " << (same ? "true" : "false") << "}";
     first = false;
     std::cerr << "[dist-sweep] workers=" << workers << "  " << secs * 1e3
-              << " ms  speedup=" << one_worker_s / secs
+              << " ms (compute " << compute_s * 1e3 << ", overhead "
+              << overhead_s * 1e3 << ")  speedup=" << one_worker_s / secs
               << (same ? "" : "  MISMATCH") << "\n";
   }
 

@@ -1,15 +1,16 @@
 #pragma once
 // Shared envelope for the *_perf.json records emitted by bench_micro_perf:
 // every record opens with the same schema_version plus a host-metadata
-// block (hardware lanes, the lane count the default ExecContext resolves
-// to, and the resolved scheduling grain), so downstream tooling can key on
-// one layout across records, machines, and NSDC_GRAIN settings.
+// block (the host's hardware threads as the OS reports them, the lane
+// count the default ExecContext resolves to — NSDC_THREADS can set it
+// apart — and the resolved scheduling grain), so downstream tooling can
+// key on one layout across records, machines, and NSDC_GRAIN settings.
 
 #include <ostream>
 #include <string>
+#include <thread>
 
 #include "util/exec.hpp"
-#include "util/threading.hpp"
 
 namespace nsdc::perfjson {
 
@@ -24,7 +25,8 @@ inline void open_envelope(std::ostream& json, const std::string& bench) {
   const ExecContext exec;
   json << "{\n  \"schema_version\": " << kSchemaVersion << ",\n"
        << "  \"bench\": \"" << bench << "\",\n"
-       << "  \"host\": {\"hardware_threads\": " << default_threads()
+       << "  \"host\": {\"hardware_threads\": "
+       << std::thread::hardware_concurrency()
        << ", \"resolved_threads\": " << exec.resolved_threads()
        << ", \"grain\": " << exec.resolved_grain(1) << "}";
 }

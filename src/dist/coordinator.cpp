@@ -87,6 +87,7 @@ class Coordinator {
   void reap_children();
   void run_watchdogs();
   void assign_work();
+  void absorb_finished();
   void respawn_workers();
   void teardown();
 
@@ -115,6 +116,8 @@ class Coordinator {
   // MC merge state: absorbed blocks + the header they must all match.
   std::optional<McCheckpointHeader> header_;
   std::vector<McBlockState> pool_;
+  /// MC shards reported done this pass, validated after assign_work.
+  std::vector<std::size_t> finished_;
   // STA merge state.
   std::optional<DesignBundle> bundle_;
   std::size_t n_units_ = 0;
@@ -353,17 +356,14 @@ void Coordinator::handle_frame(int conn, const std::string& payload) {
                                         : m.detail);
       return;
     }
+    slot.worker = -1;
     if (opt_.mode == "mc") {
-      if (validate_and_absorb(slot)) {
-        slot.worker = -1;
-        slot.st.state = ShardState::kDone;
-        trace("shard %llu done", static_cast<unsigned long long>(m.shard));
-      } else {
-        fail_shard(slot, slot.st.detail);
-      }
+      // Stays kRunning (unassignable) until absorb_finished validates the
+      // checkpoint, after this pass has sent the freed worker its next
+      // Assign.
+      finished_.push_back(static_cast<std::size_t>(m.shard));
     } else {
       slot.po_times = std::move(m.po_times);
-      slot.worker = -1;
       slot.st.state = ShardState::kDone;
       trace("shard %llu done", static_cast<unsigned long long>(m.shard));
     }
@@ -484,6 +484,19 @@ void Coordinator::assign_work() {
   }
 }
 
+void Coordinator::absorb_finished() {
+  for (const std::size_t id : finished_) {
+    ShardSlot& slot = shards_[id];
+    if (validate_and_absorb(slot)) {
+      slot.st.state = ShardState::kDone;
+      trace("shard %llu done", static_cast<unsigned long long>(id));
+    } else {
+      fail_shard(slot, slot.st.detail);
+    }
+  }
+  finished_.clear();
+}
+
 void Coordinator::respawn_workers() {
   while (usable_workers() < opt_.workers && next_worker_ < spawn_budget_ &&
          unfinished_shards() > 0) {
@@ -498,14 +511,17 @@ void Coordinator::teardown() {
     }
     if (w.alive && w.doomed && w.pid > 0) (void)::kill(w.pid, SIGKILL);
   }
+  // A stopped worker closes its socket before the kernel makes it
+  // reapable, so the closure's wake-up can come too early for waitpid:
+  // poll in 1 ms steps, not the supervision loop's 20 ms.
   const TimePoint deadline = Clock::now() + std::chrono::seconds(3);
   net::PollResult pr;
   for (;;) {
+    reap_children();
     bool any_alive = false;
     for (const auto& [id, w] : workers_) any_alive |= w.alive;
     if (!any_alive || Clock::now() > deadline) break;
-    loop_->poll(20, &pr);
-    reap_children();
+    loop_->poll(1, &pr);
   }
   for (auto& [id, w] : workers_) {
     if (!w.alive || w.pid <= 0) continue;
@@ -667,6 +683,7 @@ DistResult Coordinator::run() {
     run_watchdogs();
     respawn_workers();
     assign_work();
+    absorb_finished();
   }
   teardown();
   merge();

@@ -17,7 +17,8 @@
 //   - MC shard results are NSDCMC01 checkpoints: a retried shard resumes
 //     from the longest valid record prefix, and the coordinator validates
 //     each completed shard's header and block coverage before absorbing
-//     its blocks;
+//     its blocks — after it has sent the freed worker its next Assign, so
+//     the checkpoint load is off the hand-off path;
 //   - the final merge unions the shard blocks in block-index order and
 //     feeds them through NetlistMonteCarlo::partial_result — the same
 //     deterministic MomentAccumulator merge a single-process run performs

@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "core/mcconfig.hpp"
@@ -49,7 +51,10 @@ void fire_kill_site(std::uint64_t attempt, std::uint64_t unit) {
 
 /// MC shard: blocks [lo, hi) into the assignment's checkpoint file.
 /// resume=true picks up whatever valid prefix an earlier attempt left.
+/// The plan (nominal pre-pass, compile, arc flatten) is prepared on the
+/// worker's first MC assignment and reused by every later one.
 void run_mc_shard(const WorkerConfig& cfg, const DesignBundle& bundle,
+                  std::optional<NetlistMonteCarlo::Plan>& plan,
                   const AssignMsg& a, std::atomic<std::uint64_t>& units) {
   NetMcOptions opt;
   opt.block_begin = static_cast<std::size_t>(a.lo);
@@ -62,11 +67,12 @@ void run_mc_shard(const WorkerConfig& cfg, const DesignBundle& bundle,
   };
   const NetlistMonteCarlo mc(bundle.cell_model, bundle.wire_model,
                              bundle.tech, opt);
+  if (!plan) plan = mc.prepare(bundle.netlist, bundle.parasitics);
   McConfig mcc;
   mcc.samples = cfg.samples;
   mcc.seed = cfg.seed;
   mcc.threads = cfg.threads;
-  (void)mc.run(bundle.netlist, bundle.parasitics, mcc);
+  (void)mc.run(*plan, mcc);
 }
 
 /// STA shard: propagate only the fanin cones of sorted-PO indices
@@ -172,6 +178,7 @@ int run_worker(const WorkerConfig& cfg) {
 
   std::uint64_t hb_seq = 0;         // process-lifetime beat counter
   std::atomic<bool> wedged{false};  // dist.heartbeat fired: permanent silence
+  std::optional<NetlistMonteCarlo::Plan> mc_plan;
 
   for (;;) {
     std::string payload;
@@ -187,11 +194,16 @@ int run_worker(const WorkerConfig& cfg) {
     if (!decode_assign(payload, &a)) continue;
 
     std::atomic<std::uint64_t> units{0};
-    std::atomic<bool> hb_stop{false};
+    std::mutex hb_mu;
+    std::condition_variable hb_cv;
+    bool hb_stop = false;  // guarded by hb_mu
     std::thread beat([&] {
-      while (!hb_stop.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(cfg.heartbeat_ms));
+      std::unique_lock<std::mutex> lock(hb_mu);
+      // One beat per elapsed period. The wait ends early only when the
+      // shard is over, so its ShardDone goes out at once instead of after
+      // the rest of a beat period.
+      while (!hb_cv.wait_for(lock, std::chrono::milliseconds(cfg.heartbeat_ms),
+                             [&] { return hb_stop; })) {
         const std::uint64_t seq = ++hb_seq;
         if (wedged.load(std::memory_order_acquire)) continue;
         // Query-only (fault_at, not fault_fire): a throw from this thread
@@ -220,14 +232,18 @@ int run_worker(const WorkerConfig& cfg) {
       if (cfg.mode == "sta") {
         done.po_times = run_sta_shard(cfg, bundle, a, units);
       } else {
-        run_mc_shard(cfg, bundle, a, units);
+        run_mc_shard(cfg, bundle, mc_plan, a, units);
       }
       done.ok = true;
     } catch (const std::exception& e) {
       done.ok = false;
       done.detail = e.what();
     }
-    hb_stop.store(true, std::memory_order_release);
+    {
+      const std::lock_guard<std::mutex> lock(hb_mu);
+      hb_stop = true;
+    }
+    hb_cv.notify_one();
     beat.join();
     if (wedged.load(std::memory_order_acquire)) {
       // Silent-worker semantics: the shard finished but the result is

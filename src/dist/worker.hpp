@@ -10,10 +10,16 @@
 //   MC:  NetlistMonteCarlo over accumulation blocks [lo, hi) with the
 //        assignment's checkpoint path and resume=true — a retried shard
 //        continues from the longest valid record prefix a previous
-//        attempt (or a torn file) left behind.
+//        attempt (or a torn file) left behind. The MC plan (nominal
+//        pre-pass, compile, arc flatten) is prepared on the worker's
+//        first MC assignment and reused by every later shard, so a shard
+//        costs its own blocks only.
 //   STA: levelized mean-delay propagation restricted to the fanin cones
 //        of sorted-PO-list indices [lo, hi), via the exact sta_kernel
 //        functions of the full engine — per-PO results return inline.
+// The beat thread sends one Heartbeat per elapsed heartbeat_ms and waits
+// on a condition variable, so the shard's end wakes it and ShardDone goes
+// out at once rather than after the rest of a beat period.
 //
 // Fault sites exercised here (util/faultinject, indices chosen so a
 // retried attempt never re-fires a spent trigger):

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "netlist/flatgraph.hpp"
@@ -113,16 +114,28 @@ void finalize_endpoints(NetlistMonteCarlo::Result* out) {
 
 }  // namespace
 
-NetlistMonteCarlo::Result NetlistMonteCarlo::run(
-    const GateNetlist& netlist, const ParasiticDb& parasitics,
-    const McConfig& config) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  Result out;
-  const std::size_t n_nets = netlist.num_nets();
-  const std::size_t n_cells = netlist.num_cells();
-  out.nets.assign(n_nets, {});
-  if (config.samples <= 0) return out;
-  const auto n_samples = static_cast<std::size_t>(config.samples);
+struct NetlistMonteCarlo::Plan::Data {
+  const GateNetlist* netlist = nullptr;  ///< net names for diagnostics
+  const NSigmaCellModel* cell_model = nullptr;
+  const NSigmaWireModel* wire_model = nullptr;
+  std::uint64_t options_fp = 0;
+  std::size_t n_nets = 0;
+  std::size_t n_cells = 0;
+  std::vector<McArc> arcs;
+  std::vector<McTask> tasks;
+  std::vector<std::size_t> reachable_nets;  ///< ascending
+  std::vector<int> po_nets;                 ///< reachable POs, ascending
+};
+
+NetlistMonteCarlo::Plan NetlistMonteCarlo::prepare(
+    const GateNetlist& netlist, const ParasiticDb& parasitics) const {
+  auto plan = std::make_shared<Plan::Data>();
+  plan->netlist = &netlist;
+  plan->cell_model = &cell_model_;
+  plan->wire_model = &wire_model_;
+  plan->options_fp = options_fingerprint(options_);
+  plan->n_nets = netlist.num_nets();
+  plan->n_cells = netlist.num_cells();
 
   // Nominal pre-pass: slews, annotated loads/trees, reachability. Slews are
   // frozen at their nominal values for every sample (the standard
@@ -145,10 +158,10 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
   // Per-arc moments come from the resolved handles, elmore/xw from the
   // bound records.
   const double scale = std::max(options_.variation_scale, 0.0);
-  std::vector<McArc> arcs;
-  std::vector<McTask> tasks;
-  arcs.reserve(2 * n_cells * 2);
-  tasks.reserve(2 * n_cells);
+  std::vector<McArc>& arcs = plan->arcs;
+  std::vector<McTask>& tasks = plan->tasks;
+  arcs.reserve(2 * plan->n_cells * 2);
+  tasks.reserve(2 * plan->n_cells);
   using Id = FlatTimingGraph::Id;
   for (Id pos = 0; pos < g.num_cells(); ++pos) {
     const auto outn = static_cast<std::size_t>(g.cell_out_net(pos));
@@ -197,16 +210,58 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
     }
   }
 
+  for (std::size_t n = 0; n < plan->n_nets; ++n) {
+    if (nom.nets[n].reachable) plan->reachable_nets.push_back(n);
+  }
   // Reachable primary outputs, ascending net id.
-  std::vector<int> po_nets = netlist.primary_outputs();
-  std::erase_if(po_nets, [&](int po) {
+  plan->po_nets = netlist.primary_outputs();
+  std::erase_if(plan->po_nets, [&](int po) {
     return !nom.nets[static_cast<std::size_t>(po)].reachable;
   });
-  std::sort(po_nets.begin(), po_nets.end());
+  std::sort(plan->po_nets.begin(), plan->po_nets.end());
+
+  Plan out;
+  out.data_ = std::move(plan);
+  return out;
+}
+
+NetlistMonteCarlo::Result NetlistMonteCarlo::run(
+    const GateNetlist& netlist, const ParasiticDb& parasitics,
+    const McConfig& config) const {
+  const auto t0 = std::chrono::steady_clock::now();
+  Result out;
+  if (config.samples <= 0) {
+    out.nets.assign(netlist.num_nets(), {});
+    return out;
+  }
+  out = run(prepare(netlist, parasitics), config);
+  out.runtime_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return out;
+}
+
+NetlistMonteCarlo::Result NetlistMonteCarlo::run(const Plan& plan_handle,
+                                                 const McConfig& config) const {
+  const auto t0 = std::chrono::steady_clock::now();
+  const Plan::Data& plan = *plan_handle.data_;
+  if (plan.cell_model != &cell_model_ || plan.wire_model != &wire_model_ ||
+      plan.options_fp != options_fingerprint(options_)) {
+    throw std::invalid_argument(
+        "NetlistMonteCarlo::run: plan was prepared with other models or "
+        "model options");
+  }
+  Result out;
+  const std::size_t n_nets = plan.n_nets;
+  const std::size_t n_cells = plan.n_cells;
+  out.nets.assign(n_nets, {});
+  if (config.samples <= 0) return out;
+  const auto n_samples = static_cast<std::size_t>(config.samples);
+  const std::vector<McArc>& arcs = plan.arcs;
+  const std::vector<McTask>& tasks = plan.tasks;
+  const std::vector<int>& po_nets = plan.po_nets;
   const std::size_t n_pos = po_nets.size();
   out.po_nets = po_nets;
-  out.po_samples.assign(n_pos, std::vector<double>(n_samples, 0.0));
-  out.circuit_samples.assign(n_samples, 0.0);
 
   // Fixed accumulation blocks: boundaries depend only on the sample count,
   // every block is processed serially by exactly one chunk, and the final
@@ -217,18 +272,26 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
   const std::size_t n_blocks = std::min(kAccumBlocks, n_samples);
   const std::size_t per_block = (n_samples + n_blocks - 1) / n_blocks;
   // Block subset (shard workers): everything outside [b_lo, b_hi) is
-  // neither restored, computed, nor checkpointed by this run.
+  // neither restored, computed, nor checkpointed by this run, and every
+  // buffer below covers only the range: block b lives at index b - b_lo,
+  // sample s at s - s_lo. Clamped like mc_block_range — the last blocks
+  // can be empty when per_block * n_blocks overshoots the sample count.
   const std::size_t b_lo = std::min(options_.block_begin, n_blocks);
   const std::size_t b_hi =
       std::max(b_lo, std::min(options_.block_end, n_blocks));
+  const std::size_t n_range = b_hi - b_lo;
+  const std::size_t s_lo = std::min(n_samples, b_lo * per_block);
+  const std::size_t s_hi = std::min(n_samples, b_hi * per_block);
   const bool full_range = b_lo == 0 && b_hi == n_blocks;
-  std::vector<std::array<MomentAccumulator, 2>> block_acc(n_blocks * n_nets);
-  std::vector<std::array<std::uint64_t, 2>> block_quar(n_blocks * n_nets,
+  std::vector<std::array<MomentAccumulator, 2>> block_acc(n_range * n_nets);
+  std::vector<std::array<std::uint64_t, 2>> block_quar(n_range * n_nets,
                                                        {0, 0});
   // Blocks restored from a checkpoint; the parallel loop skips them. Set
   // before the loop starts, each in-loop element only touched by the one
   // chunk that owns its block.
-  std::vector<char> block_done(n_blocks, 0);
+  std::vector<char> block_done(n_range, 0);
+  out.po_samples.assign(n_pos, std::vector<double>(s_hi - s_lo, 0.0));
+  out.circuit_samples.assign(s_hi - s_lo, 0.0);
 
   // Checkpoint plumbing: the header binds the file to this exact run; a
   // resume restores every intact block (re-appending it to the rewritten
@@ -258,28 +321,28 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
         // A full-run checkpoint may hold blocks outside a subset run's
         // range; they belong to other shards and are skipped whole.
         if (b < b_lo || b >= b_hi) continue;
+        const std::size_t r = b - b_lo;
         for (std::size_t n = 0; n < n_nets; ++n) {
           for (std::size_t e = 0; e < 2; ++e) {
-            block_acc[b * n_nets + n][e] =
+            block_acc[r * n_nets + n][e] =
                 MomentAccumulator::from_state(blk.acc[n * 2 + e]);
-            block_quar[b * n_nets + n][e] = blk.quarantine[n * 2 + e];
+            block_quar[r * n_nets + n][e] = blk.quarantine[n * 2 + e];
           }
         }
         std::uint64_t sb = 0, se = 0;
         mc_block_range(header, blk.block, &sb, &se);
+        const std::size_t at = static_cast<std::size_t>(sb) - s_lo;
         const std::size_t len = static_cast<std::size_t>(se - sb);
         for (std::size_t p = 0; p < n_pos; ++p) {
           for (std::size_t k = 0; k < len; ++k) {
-            out.po_samples[p][static_cast<std::size_t>(sb) + k] =
-                blk.po_samples[p * len + k];
+            out.po_samples[p][at + k] = blk.po_samples[p * len + k];
           }
         }
         for (std::size_t k = 0; k < len; ++k) {
-          out.circuit_samples[static_cast<std::size_t>(sb) + k] =
-              blk.circuit_samples[k];
+          out.circuit_samples[at + k] = blk.circuit_samples[k];
         }
         writer->append(blk);
-        block_done[b] = 1;
+        block_done[r] = 1;
         ++out.blocks_resumed;
         if (options_.on_block_done) options_.on_block_done(b);
       }
@@ -295,7 +358,7 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
   constexpr double kQuietNan = std::numeric_limits<double>::quiet_NaN();
 
   out.shards = exec.parallel_for_chunked(
-      b_hi - b_lo, options_.grain,
+      n_range, options_.grain,
       [&](std::size_t i_begin, std::size_t i_end) {
         // Chunk-local scratch, reused across the chunk's blocks/samples.
         // PI slots stay 0 (their arrival) for the whole chunk; every other
@@ -303,13 +366,12 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
         std::vector<double> arr(2 * n_nets, 0.0);
         std::vector<double> z_cell(n_cells, 0.0);
         std::vector<double> z_wire(n_nets, 0.0);
-        for (std::size_t b = b_lo + i_begin; b < b_lo + i_end; ++b) {
-          if (block_done[b]) continue;
+        for (std::size_t r = i_begin; r < i_end; ++r) {
+          if (block_done[r]) continue;
+          const std::size_t b = b_lo + r;
           fault_fire("netmc.block", b, token);
-          auto* acc = &block_acc[b * n_nets];
-          auto* quar = &block_quar[b * n_nets];
-          // Clamp like mc_block_range: the last blocks can be empty when
-          // per_block * n_blocks overshoots the sample count.
+          auto* acc = &block_acc[r * n_nets];
+          auto* quar = &block_quar[r * n_nets];
           const std::size_t s_begin = std::min(n_samples, b * per_block);
           const std::size_t s_end = std::min(n_samples, s_begin + per_block);
           for (std::size_t s = s_begin; s < s_end; ++s) {
@@ -361,8 +423,7 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
             // streamed moments. The raw value stays in the retained
             // endpoint vectors (checkpoint fidelity); quantile extraction
             // filters it out.
-            for (std::size_t n = 0; n < n_nets; ++n) {
-              if (!nom.nets[n].reachable) continue;
+            for (const std::size_t n : plan.reachable_nets) {
               const double rise = poison ? kQuietNan : arr[2 * n];
               const double fall = poison ? kQuietNan : arr[2 * n + 1];
               if (std::isfinite(rise)) {
@@ -383,14 +444,15 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
               const double worst =
                   poison ? kQuietNan
                          : std::max(arr[2 * po], arr[2 * po + 1]);
-              out.po_samples[p][s] = worst;
+              out.po_samples[p][s - s_lo] = worst;
               if (!std::isfinite(worst)) {
                 circuit_finite = false;
               } else if (worst > circuit) {
                 circuit = worst;
               }
             }
-            out.circuit_samples[s] = circuit_finite ? circuit : kQuietNan;
+            out.circuit_samples[s - s_lo] =
+                circuit_finite ? circuit : kQuietNan;
           }
           if (writer != nullptr) {
             // Completed block -> durable record (append is thread-safe).
@@ -404,18 +466,18 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
                 blk.quarantine[n * 2 + e] = quar[n][e];
               }
             }
+            const std::size_t at = s_begin - s_lo;
             const std::size_t len = s_end - s_begin;
             blk.po_samples.resize(n_pos * len);
             for (std::size_t p = 0; p < n_pos; ++p) {
               for (std::size_t k = 0; k < len; ++k) {
-                blk.po_samples[p * len + k] = out.po_samples[p][s_begin + k];
+                blk.po_samples[p * len + k] = out.po_samples[p][at + k];
               }
             }
             blk.circuit_samples.assign(
+                out.circuit_samples.begin() + static_cast<std::ptrdiff_t>(at),
                 out.circuit_samples.begin() +
-                    static_cast<std::ptrdiff_t>(s_begin),
-                out.circuit_samples.begin() +
-                    static_cast<std::ptrdiff_t>(s_end));
+                    static_cast<std::ptrdiff_t>(at + len));
             writer->append(blk);
           }
           // Fired after the block is durable, so a kill landing in the
@@ -427,12 +489,12 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
   // Deterministic merge: blocks in index order.
   std::vector<std::array<MomentAccumulator, 2>> merged(n_nets);
   out.quarantined.assign(n_nets, {0, 0});
-  for (std::size_t b = 0; b < n_blocks; ++b) {
+  for (std::size_t r = 0; r < n_range; ++r) {
     for (std::size_t n = 0; n < n_nets; ++n) {
-      merged[n][0].merge(block_acc[b * n_nets + n][0]);
-      merged[n][1].merge(block_acc[b * n_nets + n][1]);
-      out.quarantined[n][0] += block_quar[b * n_nets + n][0];
-      out.quarantined[n][1] += block_quar[b * n_nets + n][1];
+      merged[n][0].merge(block_acc[r * n_nets + n][0]);
+      merged[n][1].merge(block_acc[r * n_nets + n][1]);
+      out.quarantined[n][0] += block_quar[r * n_nets + n][0];
+      out.quarantined[n][1] += block_quar[r * n_nets + n][1];
     }
   }
   for (std::size_t n = 0; n < n_nets; ++n) {
@@ -452,7 +514,7 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
       Diagnostic d;
       d.severity = Severity::kWarn;
       d.rule = "netmc.quarantine";
-      d.object = "net:" + netlist.net(static_cast<int>(n)).name;
+      d.object = "net:" + plan.netlist->net(static_cast<int>(n)).name;
       d.message = "quarantined " + std::to_string(r + f) +
                   " non-finite sample(s) (" + std::to_string(r) +
                   " rise, " + std::to_string(f) +
@@ -461,24 +523,12 @@ NetlistMonteCarlo::Result NetlistMonteCarlo::run(
     }
   }
   sort_diagnostics(out.diagnostics);
-  if (full_range) {
-    out.samples_done = n_samples;
-    // Endpoint distributions from the retained sample vectors.
-    finalize_endpoints(&out);
-  } else {
-    // Subset run: samples_done counts only the covered block ranges, and
-    // the endpoint distributions stay empty — the uncovered stretches of
-    // the retained vectors are zero filler, so order statistics over them
-    // would be meaningless. Merged endpoints come from partial_result
-    // over the union of shard checkpoints.
-    std::uint64_t covered = 0;
-    for (std::size_t b = b_lo; b < b_hi; ++b) {
-      const std::size_t s_begin = std::min(n_samples, b * per_block);
-      const std::size_t s_end = std::min(n_samples, s_begin + per_block);
-      covered += s_end - s_begin;
-    }
-    out.samples_done = covered;
-  }
+  out.samples_done = s_hi - s_lo;
+  // Endpoint distributions from the retained sample vectors. A subset run
+  // leaves them empty: its samples are one shard's slice, so order
+  // statistics over them would describe nothing. Merged endpoints come
+  // from partial_result over the union of shard checkpoints.
+  if (full_range) finalize_endpoints(&out);
 
   out.runtime_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -25,10 +25,21 @@
 // stays O(kAccumBlocks * nets) for the streaming statistics plus
 // O(POs * samples) for the retained endpoint sample vectors (the empirical
 // -3s..+3s quantiles fall out of those).
+//
+// Prepare once, run per block range: prepare() does the sample-independent
+// work (nominal pre-pass, flat-graph compile, arc/task flatten, reachable
+// net and PO lists) and run(plan, config) samples the configured block
+// range over it. run(netlist, parasitics, config) is prepare + run, so
+// every caller shares the one sampling kernel; a dist shard worker
+// prepares on its first MC assignment and reuses the plan for every later
+// shard. A subset run sizes its buffers (per-block accumulators, retained
+// samples, final merge) to its own block range, so a one-block shard
+// costs one block, not kAccumBlocks.
 
 #include <array>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/mcconfig.hpp"
@@ -80,10 +91,11 @@ struct NetMcOptions {
   /// knob like threads/grain: excluded from the checkpoint fingerprint,
   /// so shard checkpoints resume/merge interchangeably with full-run
   /// ones. The default covers every block. A subset run's Result carries
-  /// valid streamed moments and retained samples for its own blocks only
-  /// (endpoint moments/quantiles are left empty; samples_done counts the
-  /// covered samples) — the merged statistics come from partial_result
-  /// over the union of shard checkpoints.
+  /// streamed moments merged over its own blocks only, and its
+  /// po_samples/circuit_samples vectors hold only its own blocks' samples,
+  /// in order from index 0 (endpoint moments/quantiles are left empty;
+  /// samples_done counts the covered samples) — the merged statistics
+  /// come from partial_result over the union of shard checkpoints.
   std::size_t block_begin = 0;
   std::size_t block_end = static_cast<std::size_t>(-1);
   /// Invoked after a block completes — its samples accumulated and, when
@@ -153,6 +165,31 @@ class NetlistMonteCarlo {
     std::uint64_t samples_done = 0;    ///< samples covered by the result
   };
 
+  /// The sample-independent half of a run, built by prepare() and
+  /// read-only afterwards: the nominal pre-pass's reachability, the
+  /// levelized (cell, edge) tasks over flattened arc records, and the
+  /// reachable net and PO lists. Copies share the same immutable data. A
+  /// plan refers to the netlist it was prepared from (net names for
+  /// quarantine diagnostics), which must outlive it, and runs only on an
+  /// engine with the same models and model options (run throws
+  /// std::invalid_argument otherwise).
+  class Plan {
+   public:
+    struct Data;
+
+   private:
+    friend class NetlistMonteCarlo;
+    std::shared_ptr<const Data> data_;
+  };
+
+  /// Nominal pre-pass, flat-graph compile and arc flatten. Throws what the
+  /// nominal engine throws (e.g. a cell type missing from the model).
+  Plan prepare(const GateNetlist& netlist, const ParasiticDb& parasitics) const;
+
+  /// Samples the configured block range over a prepared plan.
+  Result run(const Plan& plan, const McConfig& config) const;
+
+  /// prepare() followed by run(plan, config); runtime_seconds covers both.
   Result run(const GateNetlist& netlist, const ParasiticDb& parasitics,
              const McConfig& config) const;
 

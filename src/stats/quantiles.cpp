@@ -204,6 +204,83 @@ GpdFit fit_gpd_pwm(const std::vector<double>& exceedances) {
   return fit;
 }
 
+/// Fewest samples a POT tail fit is attempted on; below it the order
+/// statistic stands.
+constexpr std::size_t kPotMinSamples = 80;
+
+/// The generalized Pareto fit to one tail block of an ascending sample:
+/// threshold u (the order statistic bounding the block), the block's
+/// probability mass pu, and the PWM fit of its exceedances over u. Reads
+/// only the block and its bounding order statistic, so `sorted` needs to
+/// hold its sorted values at those ranks only.
+struct TailFit {
+  double u = 0.0;
+  double pu = 0.0;
+  GpdFit fit;
+};
+
+TailFit fit_tail(std::span<const double> sorted, bool lower,
+                 double tail_fraction) {
+  const std::size_t n = sorted.size();
+  const auto n_tail = static_cast<std::size_t>(
+      std::floor(tail_fraction * static_cast<double>(n)));
+  TailFit t;
+  std::vector<double> exceed;
+  exceed.reserve(n_tail);
+  if (lower) {
+    t.u = sorted[n_tail];
+    for (std::size_t i = 0; i < n_tail; ++i) {
+      exceed.push_back(t.u - sorted[n_tail - 1 - i]);
+    }
+  } else {
+    t.u = sorted[n - 1 - n_tail];
+    for (std::size_t i = 0; i < n_tail; ++i) {
+      exceed.push_back(sorted[n - n_tail + i] - t.u);
+    }
+  }
+  std::sort(exceed.begin(), exceed.end());
+  t.fit = fit_gpd_pwm(exceed);
+  t.pu = static_cast<double>(n_tail) / static_cast<double>(n);
+  return t;
+}
+
+/// The fitted tail's quantile at tail probability tail_p (< pu).
+double tail_quantile(const TailFit& t, double tail_p, bool lower) {
+  const double ratio = tail_p / t.pu;  // in (0,1)
+  double y;
+  if (std::fabs(t.fit.xi) < 1e-8) {
+    y = -t.fit.sigma * std::log(ratio);
+  } else {
+    y = t.fit.sigma / t.fit.xi * (std::pow(ratio, -t.fit.xi) - 1.0);
+  }
+  return lower ? t.u - y : t.u + y;
+}
+
+/// The two ranks quantile_sorted reads for probability p over n samples.
+std::array<std::size_t, 2> quantile_ranks(std::size_t n, double p) {
+  if (n == 1) return {0, 0};
+  const double h = std::clamp(p, 0.0, 1.0) * (static_cast<double>(n) - 1.0);
+  const auto lo = static_cast<std::size_t>(std::floor(h));
+  return {lo, std::min(lo + 1, n - 1)};
+}
+
+/// Moves the value of every rank in `ranks` (ascending, distinct, all in
+/// [lo, hi)) to its sorted position, given that v[lo, hi) holds exactly
+/// the values of sorted ranks [lo, hi). Splits at the middle rank and
+/// recurses, so k ranks cost O(n log k) instead of a full sort.
+void select_ranks(std::vector<double>& v, std::size_t lo, std::size_t hi,
+                  std::span<const std::size_t> ranks) {
+  if (ranks.empty()) return;
+  const std::size_t mid = ranks.size() / 2;
+  const std::size_t k = ranks[mid];
+  const auto at = [&v](std::size_t i) {
+    return v.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  std::nth_element(at(lo), at(k), at(hi));
+  select_ranks(v, lo, k, ranks.first(mid));
+  select_ranks(v, k + 1, hi, ranks.subspan(mid + 1));
+}
+
 }  // namespace
 
 double pot_quantile_sorted(std::span<const double> sorted, double p,
@@ -212,49 +289,55 @@ double pot_quantile_sorted(std::span<const double> sorted, double p,
   if (n == 0) throw std::invalid_argument("pot_quantile: empty sample");
   const bool lower = p < 0.5;
   const double tail_p = lower ? p : 1.0 - p;
-  if (tail_p >= tail_fraction || n < 80) {
+  if (tail_p >= tail_fraction || n < kPotMinSamples) {
     return quantile_sorted(sorted, p);  // not in the fitted tail
   }
-  const auto n_tail = static_cast<std::size_t>(
-      std::floor(tail_fraction * static_cast<double>(n)));
-  // Threshold = the order statistic bounding the tail block.
-  std::vector<double> exceed;
-  exceed.reserve(n_tail);
-  double u = 0.0;
-  if (lower) {
-    u = sorted[n_tail];
-    for (std::size_t i = 0; i < n_tail; ++i) exceed.push_back(u - sorted[n_tail - 1 - i]);
-  } else {
-    u = sorted[n - 1 - n_tail];
-    for (std::size_t i = 0; i < n_tail; ++i) {
-      exceed.push_back(sorted[n - n_tail + i] - u);
-    }
-  }
-  std::sort(exceed.begin(), exceed.end());
-  const GpdFit fit = fit_gpd_pwm(exceed);
-  if (!fit.ok) return quantile_sorted(sorted, p);
-  const double pu = static_cast<double>(n_tail) / static_cast<double>(n);
-  const double ratio = tail_p / pu;  // in (0,1)
-  double y;
-  if (std::fabs(fit.xi) < 1e-8) {
-    y = -fit.sigma * std::log(ratio);
-  } else {
-    y = fit.sigma / fit.xi * (std::pow(ratio, -fit.xi) - 1.0);
-  }
-  return lower ? u - y : u + y;
+  const TailFit t = fit_tail(sorted, lower, tail_fraction);
+  if (!t.fit.ok) return quantile_sorted(sorted, p);
+  return tail_quantile(t, tail_p, lower);
 }
 
 std::array<double, 7> sigma_quantiles_smoothed(
     std::span<const double> samples) {
-  const std::vector<double> s = sorted_copy(samples);
+  // Selection, not a full sort: every value read below is an order
+  // statistic (each level's interpolation pair, the POT threshold and the
+  // upper tail block), so only those ranks are put in place and the result
+  // equals sort-then-read bit for bit.
+  const std::size_t n = samples.size();
+  if (n == 0) throw std::invalid_argument("quantile: empty sample");
+  std::vector<double> v(samples.begin(), samples.end());
+  // POT only where it wins: the heavy upper tail (+2s/+3s). The lower tail
+  // of a delay distribution is short/compressed, where the order statistic
+  // is already tight and the GPD fit adds noise. Both tail levels share the
+  // one fit (it depends on the block, not on p).
+  const bool pot = n >= kPotMinSamples;
+  std::size_t head = n;  // ranks [0, head) are still unordered
+  TailFit tail;
+  if (pot) {
+    head = n - 1 - static_cast<std::size_t>(std::floor(
+                       kPotTailFraction * static_cast<double>(n)));
+    const auto at = v.begin() + static_cast<std::ptrdiff_t>(head);
+    std::nth_element(v.begin(), at, v.end());
+    std::sort(at + 1, v.end());
+    tail = fit_tail(v, /*lower=*/false, kPotTailFraction);
+  }
+  std::vector<std::size_t> ranks;
+  for (const int lvl : kSigmaLevels) {
+    for (const std::size_t r :
+         quantile_ranks(n, sigma_level_probability(lvl))) {
+      if (r < head) ranks.push_back(r);
+    }
+  }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  select_ranks(v, 0, head, ranks);
+
   std::array<double, 7> out{};
   for (std::size_t i = 0; i < kSigmaLevels.size(); ++i) {
     const double p = sigma_level_probability(kSigmaLevels[i]);
-    const int lvl = kSigmaLevels[i];
-    // POT only where it wins: the heavy upper tail. The lower tail of a
-    // delay distribution is short/compressed, where the order statistic
-    // is already tight and the GPD fit adds noise.
-    out[i] = lvl >= 2 ? pot_quantile_sorted(s, p) : quantile_sorted(s, p);
+    out[i] = kSigmaLevels[i] >= 2 && pot && tail.fit.ok
+                 ? tail_quantile(tail, 1.0 - p, /*lower=*/false)
+                 : quantile_sorted(v, p);
   }
   // POT fits of the two tail levels are independent; enforce ordering.
   for (std::size_t i = 1; i < out.size(); ++i) {

@@ -49,6 +49,9 @@ std::array<double, 7> sigma_quantiles(std::span<const double> samples);
 /// Harrell-Davis version of the seven sigma-level quantiles.
 std::array<double, 7> sigma_quantiles_hd(std::span<const double> samples);
 
+/// Share of the sample in the tail block a POT fit reads by default.
+inline constexpr double kPotTailFraction = 0.12;
+
 /// Tail quantile via peaks-over-threshold: a generalized-Pareto fit
 /// (probability-weighted moments) to the empirical tail beyond the
 /// `tail_fraction` threshold, evaluated at probability p. Falls back to
@@ -57,10 +60,12 @@ std::array<double, 7> sigma_quantiles_hd(std::span<const double> samples);
 /// uses for its +-2s/+-3s labels — with a few hundred samples the raw
 /// 0.135% order statistic is essentially the sample minimum.
 double pot_quantile_sorted(std::span<const double> sorted, double p,
-                           double tail_fraction = 0.12);
+                           double tail_fraction = kPotTailFraction);
 
 /// Seven sigma-level quantiles with POT-smoothed +-2s/+-3s entries and
-/// order-statistic inner levels.
+/// order-statistic inner levels. Equal bit for bit to reading
+/// quantile_sorted / pot_quantile_sorted off a sorted copy, but selects
+/// only the ranks it reads (nth_element) and sorts only the upper tail.
 std::array<double, 7> sigma_quantiles_smoothed(std::span<const double> samples);
 
 /// Sorted copy helper.

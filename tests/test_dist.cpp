@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -342,6 +343,28 @@ TEST_F(DistTest, ShardCountClampsToAccumulationBlocks) {
   expect_all_done(res);
   EXPECT_EQ(res.shards.size(), 8u);
   expect_identical(res.mc, golden_mc(8), "clamped shards");
+}
+
+TEST_F(DistTest, ShardHandOffDoesNotWaitOutTheHeartbeat) {
+  // A 2 s beat period over 8 shards on one worker: if a finished shard's
+  // report waited for the beat thread's next tick, the run would take
+  // about 8 x 2 s. The beat wait ends when the shard does, so the run
+  // costs its compute and spawn. Half of 16 s leaves room for a loaded
+  // `ctest -j` host while still failing a tick-bound hand-off.
+  auto opt = base_options("handoff");
+  opt.workers = 1;
+  opt.shards = 8;
+  opt.heartbeat_ms = 2000;
+  opt.heartbeat_timeout_s = 30.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const dist::DistResult res = dist::run_coordinator(opt);
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  expect_all_done(res);
+  EXPECT_EQ(res.shards.size(), 8u);
+  EXPECT_LT(wall_s, 8.0);
+  expect_identical(res.mc, golden_mc(96), "2 s heartbeat");
 }
 
 TEST_F(DistTest, SigkilledWorkerMidShardResumesByteIdentical) {

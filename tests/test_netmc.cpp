@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -220,6 +223,97 @@ TEST_F(NetMcTest, AgreesWithStatisticalStaOnMeanAndSigma) {
   EXPECT_LT(mc.circuit_moments.mu, 1.05 * an.worst.mean);
   EXPECT_GT(mc.circuit_moments.sigma, 0.2 * an.worst.sigma());
   EXPECT_LT(mc.circuit_moments.sigma, 5.0 * an.worst.sigma());
+}
+
+TEST_F(NetMcTest, PlanReusedAcrossOneBlockRangesMergesByteIdentical) {
+  // The shard-worker path: one prepare(), then every one-block range run
+  // over that plan into its own checkpoint. The union of those checkpoints
+  // through partial_result must be memcmp-equal to a whole run, with the
+  // blocks sampled at 1 and at 4 lanes.
+  constexpr int kSamples = 64;  // 32 blocks of 2 samples
+  const auto ref = run_at(1, 0, kSamples);
+  expect_identical(run_at(4, 0, kSamples), ref, "run() at 4 lanes");
+  const auto same_bytes = [](const std::vector<double>& a,
+                             const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  const NetlistMonteCarlo::Plan plan =
+      NetlistMonteCarlo(model, wire_model, tech).prepare(netlist, parasitics);
+  const std::string path = ::testing::TempDir() + "nsdc_plan_reuse_" +
+                           std::to_string(::getpid()) + ".ckpt";
+  for (const unsigned lanes : {1u, 4u}) {
+    McCheckpointData all;
+    for (std::size_t b = 0; b < NetlistMonteCarlo::kAccumBlocks; ++b) {
+      NetMcOptions opt;
+      opt.block_begin = b;
+      opt.block_end = b + 1;
+      opt.checkpoint_path = path;
+      const NetlistMonteCarlo mc(model, wire_model, tech, opt);
+      McConfig cfg;
+      cfg.samples = kSamples;
+      cfg.seed = 9001;
+      cfg.threads = lanes;
+      const auto part = mc.run(plan, cfg);
+      // A subset result's retained samples are its own range only.
+      ASSERT_EQ(part.samples_done, 2u);
+      const std::vector<double> slice(
+          ref.circuit_samples.begin() + static_cast<std::ptrdiff_t>(2 * b),
+          ref.circuit_samples.begin() + static_cast<std::ptrdiff_t>(2 * b + 2));
+      EXPECT_TRUE(same_bytes(part.circuit_samples, slice)) << "block " << b;
+      ASSERT_EQ(part.po_samples.size(), ref.po_samples.size());
+      for (const auto& po : part.po_samples) ASSERT_EQ(po.size(), 2u);
+
+      std::vector<Diagnostic> diags;
+      auto data = load_mc_checkpoint(path, nullptr, &diags);
+      ASSERT_TRUE(data.has_value()) << "block " << b;
+      ASSERT_EQ(data->blocks.size(), 1u);
+      all.header = data->header;
+      all.blocks.push_back(std::move(data->blocks.front()));
+    }
+    const auto merged = NetlistMonteCarlo::partial_result(all);
+    const std::string what = std::to_string(lanes) + "-lane blocks";
+    expect_identical(merged, ref, what);
+    EXPECT_TRUE(same_bytes(merged.circuit_samples, ref.circuit_samples))
+        << what;
+    ASSERT_EQ(merged.po_samples.size(), ref.po_samples.size());
+    for (std::size_t p = 0; p < ref.po_samples.size(); ++p) {
+      EXPECT_TRUE(same_bytes(merged.po_samples[p], ref.po_samples[p]))
+          << what << " po " << p;
+    }
+    for (std::size_t n = 0; n < ref.nets.size(); ++n) {
+      for (std::size_t e = 0; e < 2; ++e) {
+        EXPECT_EQ(std::memcmp(&merged.nets[n][e].moments,
+                              &ref.nets[n][e].moments, sizeof(Moments)),
+                  0)
+            << what << " net " << n;
+      }
+    }
+  }
+  std::remove(path.c_str());
+
+  // A plan runs only on an engine with the models and model options it
+  // was prepared with.
+  NetMcOptions other;
+  other.variation_scale = 0.5;
+  McConfig cfg;
+  cfg.samples = kSamples;
+  EXPECT_THROW(NetlistMonteCarlo(model, wire_model, tech, other).run(plan, cfg),
+               std::invalid_argument);
+}
+
+TEST_F(NetMcTest, PrepareThrowsOnCellTypeMissingFromModel) {
+  const std::string missing = netlist.cell(0).type->name();
+  CharLib partial;
+  partial.set_tech(charlib.tech());
+  partial.set_config(charlib.config());
+  for (const auto& arc : charlib.arcs()) {
+    if (arc.cell != missing) partial.add_arc(arc);
+  }
+  const NSigmaCellModel partial_model = NSigmaCellModel::fit(partial);
+  EXPECT_THROW(NetlistMonteCarlo(partial_model, wire_model, tech)
+                   .prepare(netlist, parasitics),
+               std::out_of_range);
 }
 
 // ------------------------------------------------- golden c17 regression --

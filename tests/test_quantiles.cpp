@@ -4,7 +4,11 @@
 
 #include "stats/moments.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -203,6 +207,57 @@ TEST(PotQuantile, SmoothedLevelsOrderedOnSkewedData) {
   // The upper tail of a lognormal must stretch beyond the Gaussian rule.
   const Moments m = compute_moments(xs);
   EXPECT_GT(q[6], m.mu + 2.2 * m.sigma);
+}
+
+/// sigma_quantiles_smoothed as sort-then-read: quantile_sorted for the
+/// inner levels, pot_quantile_sorted for +2s/+3s, then ordering.
+std::array<double, 7> smoothed_by_full_sort(const std::vector<double>& xs) {
+  const auto s = sorted_copy(xs);
+  std::array<double, 7> out{};
+  for (std::size_t i = 0; i < kSigmaLevels.size(); ++i) {
+    const double p = sigma_level_probability(kSigmaLevels[i]);
+    out[i] = kSigmaLevels[i] >= 2 ? pot_quantile_sorted(s, p)
+                                  : quantile_sorted(s, p);
+  }
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    out[i] = std::max(out[i], out[i - 1]);
+  }
+  return out;
+}
+
+TEST(SigmaQuantilesSmoothed, SelectionMatchesFullSortBitForBit) {
+  const auto expect_same = [](const std::vector<double>& xs,
+                              const std::string& what) {
+    const auto got = sigma_quantiles_smoothed(xs);
+    const auto ref = smoothed_by_full_sort(xs);
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), sizeof(got)), 0)
+        << what << " n=" << xs.size();
+  };
+  Rng rng(41);
+  // Sizes straddle the 80-sample POT cut-off and the 2048-sample MC runs.
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 79u, 80u, 81u, 500u, 2048u}) {
+    std::vector<double> gauss, skewed, tied, with_nan;
+    for (std::size_t i = 0; i < n; ++i) {
+      gauss.push_back(rng.normal());
+      skewed.push_back(std::exp(rng.normal(0.0, 0.6)));
+      // Few distinct values: ties at and around every rank read.
+      tied.push_back(static_cast<double>(rng.uniform_int(0, 4)));
+      with_nan.push_back(i % 5 == 4 ? std::nan("") : rng.normal(1.0, 0.1));
+    }
+    // NaN dropped the way the MC engines drop quarantined samples before
+    // extracting quantiles.
+    std::vector<double> filtered;
+    for (const double x : with_nan) {
+      if (std::isfinite(x)) filtered.push_back(x);
+    }
+    expect_same(gauss, "gaussian");
+    expect_same(skewed, "lognormal");
+    expect_same(tied, "tied");
+    expect_same(filtered, "nan-filtered");
+    expect_same(std::vector<double>(n, 2.5), "constant");
+  }
+  EXPECT_THROW(sigma_quantiles_smoothed(std::vector<double>{}),
+               std::invalid_argument);
 }
 
 TEST(HdQuantile, MonotoneInP) {
