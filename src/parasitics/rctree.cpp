@@ -1,8 +1,10 @@
 #include "parasitics/rctree.hpp"
 
 #include <cmath>
+#include <functional>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 namespace nsdc {
 
@@ -55,81 +57,60 @@ double RcTree::total_res() const {
   return r;
 }
 
-double RcTree::common_resistance(int a, int b) const {
-  // Sum of edge resistances shared between root->a and root->b paths.
-  // Gather ancestors of a (including a), then walk b upward.
-  std::vector<int> path_a;
-  for (int n = a; n > 0; n = parent_[static_cast<std::size_t>(n)]) {
-    path_a.push_back(n);
+void RcTree::downstream_sums(std::vector<double>& w) const {
+  for (std::size_t k = w.size(); k-- > 1;) {
+    w[static_cast<std::size_t>(parent_[k])] += w[k];
   }
-  double r = 0.0;
-  for (int n = b; n > 0; n = parent_[static_cast<std::size_t>(n)]) {
-    for (int m : path_a) {
-      if (m == n) {
-        r += res_[static_cast<std::size_t>(n)];
-        break;
-      }
-    }
-  }
-  return r;
 }
 
-double RcTree::elmore(int node) const {
-  double m1 = 0.0;
-  for (int k = 1; k < num_nodes(); ++k) {
-    m1 += common_resistance(node, k) * cap_[static_cast<std::size_t>(k)];
+void RcTree::path_sums(std::vector<double>& w, std::size_t last) const {
+  // parent < child, so w[parent] is final before child k overwrites its
+  // downstream sum.
+  w[0] = 0.0;
+  for (std::size_t k = 1; k <= last; ++k) {
+    w[k] = w[static_cast<std::size_t>(parent_[k])] + res_[k] * w[k];
   }
+}
+
+void RcTree::elmore_all(std::vector<double>& m1) const {
+  m1.assign(cap_.begin(), cap_.end());
+  downstream_sums(m1);
+  path_sums(m1, m1.size() - 1);
+}
+
+std::vector<double> RcTree::elmore_all() const {
+  std::vector<double> m1;
+  elmore_all(m1);
   return m1;
 }
 
+double RcTree::elmore(int node) const {
+  const std::size_t i = checked_node(node);
+  // The root path of `node` only holds indices <= node, so the forward
+  // pass stops there; every value it computes is elmore_all()'s.
+  std::vector<double> m1(cap_);
+  downstream_sums(m1);
+  path_sums(m1, i);
+  return m1[i];
+}
+
 double RcTree::second_moment(int node) const {
-  // m2(i) = sum_k R_common(i,k) * C_k * m1(k); this is the standard
-  // path-tracing recursion for the second impulse-response moment.
-  double m2 = 0.0;
-  for (int k = 1; k < num_nodes(); ++k) {
-    m2 += common_resistance(node, k) * cap_[static_cast<std::size_t>(k)] *
-          elmore(k);
-  }
-  return m2;
+  const std::size_t i = checked_node(node);
+  // m2(i) = sum_k R_common(i,k) C_k m1(k) regrouped by edge: each edge e on
+  // the root path carries R_e times the sum of C_k m1(k) over its subtree.
+  std::vector<double> w;
+  elmore_all(w);
+  for (std::size_t k = 0; k < w.size(); ++k) w[k] *= cap_[k];
+  downstream_sums(w);
+  path_sums(w, i);
+  return w[i];
 }
 
-double RcTree::third_moment(int node) const {
-  double m3 = 0.0;
-  for (int k = 1; k < num_nodes(); ++k) {
-    m3 += common_resistance(node, k) * cap_[static_cast<std::size_t>(k)] *
-          second_moment(k);
+std::size_t RcTree::checked_node(int node) const {
+  if (node < 0 || node >= num_nodes()) {
+    throw std::out_of_range("RcTree: bad node " + std::to_string(node));
   }
-  return m3;
-}
-
-double RcTree::two_pole_delay(int node, double threshold) const {
-  const double m1 = elmore(node);
-  const double m2 = second_moment(node);
-  // Pade [0/2]: H(s) = 1 / (1 + a1 s + a2 s^2) with a1 = m1,
-  // a2 = m1^2 - m2 (circuit-moment sign convention).
-  const double a1 = m1;
-  const double a2 = m1 * m1 - m2;
-  const double disc = a1 * a1 - 4.0 * a2;
-  if (!(a2 > 0.0) || disc <= 0.0) return d2m(node);  // complex/degenerate
-  // Real poles: time constants tau = 2 a2 / (a1 -+ sqrt(disc)).
-  const double root = std::sqrt(disc);
-  const double tau1 = 2.0 * a2 / (a1 - root);  // slower
-  const double tau2 = 2.0 * a2 / (a1 + root);  // faster
-  if (!(tau1 > 0.0) || !(tau2 > 0.0)) return d2m(node);
-  // Step response: v(t) = 1 - (tau1 e^{-t/tau1} - tau2 e^{-t/tau2})
-  //                            / (tau1 - tau2); solve v(t) = threshold.
-  auto v = [&](double t) {
-    if (tau1 == tau2) return 1.0 - std::exp(-t / tau1) * (1.0 + t / tau1);
-    return 1.0 - (tau1 * std::exp(-t / tau1) - tau2 * std::exp(-t / tau2)) /
-                     (tau1 - tau2);
-  };
-  double lo = 0.0, hi = 30.0 * tau1;
-  if (v(hi) < threshold) return d2m(node);
-  for (int it = 0; it < 80; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    if (v(mid) < threshold) lo = mid; else hi = mid;
-  }
-  return 0.5 * (lo + hi);
+  return static_cast<std::size_t>(node);
 }
 
 double RcTree::d2m(int node) const {
@@ -180,6 +161,46 @@ std::vector<NodeId> RcTree::build_spice(Circuit& ckt, NodeId root,
   }
   if (cap_[0] > 0.0) ckt.add_capacitor(root, kGround, cap_[0]);
   return ids;
+}
+
+namespace {
+/// Sink counts up to this scan the list; larger trees hash the names.
+constexpr std::size_t kSinkScanMax = 8;
+
+std::size_t name_hash(std::string_view pin) {
+  return std::hash<std::string_view>{}(pin);
+}
+}  // namespace
+
+SinkIndex::SinkIndex(const RcTree& tree) : tree_(&tree) {
+  const auto& sinks = tree.sinks();
+  if (sinks.size() <= kSinkScanMax) return;
+  std::size_t size = 1;
+  while (size < 2 * sinks.size()) size <<= 1;
+  slots_.assign(size, -1);
+  const std::size_t mask = size - 1;
+  for (std::size_t i = 0; i < sinks.size(); ++i) {
+    std::size_t h = name_hash(sinks[i].pin) & mask;
+    while (slots_[h] >= 0 &&
+           sinks[static_cast<std::size_t>(slots_[h])].pin != sinks[i].pin) {
+      h = (h + 1) & mask;
+    }
+    // A repeated name keeps its first entry: sink_node's match.
+    if (slots_[h] < 0) slots_[h] = static_cast<int>(i);
+  }
+}
+
+int SinkIndex::node(std::string_view pin) const {
+  if (slots_.empty()) return tree_->sink_node(pin);
+  const auto& sinks = tree_->sinks();
+  const std::size_t mask = slots_.size() - 1;
+  // At most half the slots are used, so every probe run ends at an empty.
+  for (std::size_t h = name_hash(pin) & mask; slots_[h] >= 0;
+       h = (h + 1) & mask) {
+    const auto& s = sinks[static_cast<std::size_t>(slots_[h])];
+    if (s.pin == pin) return s.node;
+  }
+  throw std::out_of_range("RcTree: unknown sink pin " + std::string(pin));
 }
 
 }  // namespace nsdc

@@ -6,7 +6,6 @@
 
 #include "core/mcconfig.hpp"
 #include "lint/lint.hpp"
-#include "sta/netmc.hpp"
 #include "util/argparse.hpp"
 #include "util/cancel.hpp"
 #include "util/errors.hpp"
@@ -243,11 +242,20 @@ std::string Service::do_netmc(const RequestHeader& h, net::WireReader& r,
               static_cast<long long>(options_.max_mc_samples));
   const NetlistMonteCarlo mc(*refs_.cell_model, *refs_.wire_model,
                              *refs_.tech);
+  // The design is fixed, so the first request prepares the plan (nominal
+  // pre-pass, graph compile, arc flatten) and every request samples it. A
+  // prepare that throws leaves no plan; the next request retries.
+  NetlistMonteCarlo::Plan plan;
+  {
+    std::lock_guard<std::mutex> lock(mc_plan_mu_);
+    if (!mc_plan_) mc_plan_ = mc.prepare(*refs_.netlist, *refs_.parasitics);
+    plan = *mc_plan_;
+  }
   McConfig cfg;
   cfg.samples = static_cast<int>(samples);
   cfg.seed = seed;
   cfg.exec.cancel = &token;
-  const auto res = mc.run(*refs_.netlist, *refs_.parasitics, cfg);
+  const auto res = mc.run(plan, cfg);
   net::WireWriter w = ok_response(h.request_id);
   w.u64(res.samples_done);
   w.u32(static_cast<std::uint32_t>(res.po_nets.size()));

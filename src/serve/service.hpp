@@ -9,7 +9,9 @@
 // per connection), so everything a handler touches is either immutable
 // (the refs, the baselines), connection-private (an edit session — the
 // per-connection serialization makes its netlist/IncrementalSta
-// single-threaded), or guarded (the session registry map itself). Session
+// single-threaded), or guarded (the session registry map itself, and the
+// kNetMc plan, which the first kNetMc request prepares under a lock and
+// every later one shares read-only). Session
 // ids are derived from (connection, per-connection counter), never from a
 // shared counter, so the id a client sees does not depend on how requests
 // of other connections interleave — part of the per-session
@@ -32,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -43,6 +46,7 @@
 #include "serve/protocol.hpp"
 #include "sta/engine.hpp"
 #include "sta/incremental.hpp"
+#include "sta/netmc.hpp"
 #include "sta/ssta_analytic.hpp"
 
 namespace nsdc::serve {
@@ -136,6 +140,11 @@ class Service {
   StaEngine::Result baseline_;
   PathDescription baseline_critical_;
   AnalyticSsta::Result ssta_;
+
+  /// kNetMc's sample-independent half, built by the first kNetMc request
+  /// (so start-up does not pay for it) and shared read-only afterwards.
+  std::mutex mc_plan_mu_;
+  std::optional<NetlistMonteCarlo::Plan> mc_plan_;
 
   mutable std::mutex sessions_mu_;
   std::map<std::uint32_t, Session> sessions_;

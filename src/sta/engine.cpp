@@ -17,10 +17,11 @@ void annotate_net(const GateNetlist& netlist, const ParasiticDb& parasitics,
   double load = 0.0;
   if (parasitics.contains(net.name)) {
     RcTree tree = parasitics.net(net.name);
+    const SinkIndex sinks(tree);
     for (const auto& sink : net.sinks) {
       const auto& inst = netlist.cell(sink.cell);
       const double pin_cap = inst.type->input_cap(tech, sink.pin);
-      tree.add_cap(tree.sink_node(sink_pin_name(inst, sink.pin)), pin_cap);
+      tree.add_cap(sinks.node(sink_pin_name(inst, sink.pin)), pin_cap);
     }
     load = tree.total_cap();
     res.annotated[n] = std::move(tree);

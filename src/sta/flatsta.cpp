@@ -58,18 +58,36 @@ void bind_arc_records(const FlatTimingGraph& graph,
     for (Id arc = graph.fanin_begin(pos); arc < graph.fanin_end(pos); ++arc) {
       rec.arc_model[0][arc] = h[0];
       rec.arc_model[1][arc] = h[1];
-      const Id fan = graph.fanin_net(arc);
-      if (fan == FlatTimingGraph::kNoId) continue;
-      const RcTree& tree = res.annotated[fan];
-      if (tree.num_nodes() > 1) {
-        rec.has_tree[arc] = 1;
-        // Same call sta_kernel::propagate_cell makes per visit, so the
-        // stored double is bit-identical to the recomputed one.
-        rec.elmore[arc] = tree.elmore(
-            tree.sink_node(graph.sink_name(graph.fanin_sink(arc))));
-      }
     }
   });
+
+  // One Elmore pass per net, scattered to the net's sink arcs (each arc is
+  // exactly one fanout slot of its fanin net, so nets fan out freely).
+  // elmore_all()[node] is bit-identical to the tree.elmore(node) that
+  // sta_kernel::propagate_cell computes per visit. One buffer per chunk:
+  // nothing outlives the bind.
+  const Id num_nets = graph.num_nets();
+  const std::size_t net_grain =
+      ExecContext::autotuned_grain(num_nets, exec.resolved_threads());
+  exec.parallel_for_chunked(
+      num_nets, net_grain, [&](std::size_t begin, std::size_t end) {
+        std::vector<double> m1;
+        for (std::size_t n = begin; n < end; ++n) {
+          const RcTree& tree = res.annotated[n];
+          if (tree.num_nodes() <= 1) continue;
+          tree.elmore_all(m1);
+          const SinkIndex sinks(tree);
+          const Id net = static_cast<Id>(n);
+          for (Id f = graph.fanout_begin(net); f < graph.fanout_end(net);
+               ++f) {
+            const Id arc =
+                graph.fanin_begin(graph.fanout_pos(f)) + graph.fanout_pin(f);
+            rec.has_tree[arc] = 1;
+            rec.elmore[arc] =
+                m1[static_cast<std::size_t>(sinks.node(graph.sink_name(f)))];
+          }
+        }
+      });
 }
 
 void bind_wire_xw(const FlatTimingGraph& graph, const NSigmaWireModel& wire,
@@ -112,11 +130,12 @@ void flat_annotate_net(const FlatTimingGraph& graph,
   double load = 0.0;
   if (parasitics.contains(name)) {
     RcTree tree = parasitics.net(name);
+    const SinkIndex sinks(tree);
     const Id net = static_cast<Id>(n);
     for (Id f = graph.fanout_begin(net); f < graph.fanout_end(net); ++f) {
       const double pin_cap = graph.cell_type(graph.fanout_pos(f))
                                  ->input_cap(tech, static_cast<int>(graph.fanout_pin(f)));
-      tree.add_cap(tree.sink_node(graph.sink_name(f)), pin_cap);
+      tree.add_cap(sinks.node(graph.sink_name(f)), pin_cap);
     }
     load = tree.total_cap();
     res.annotated[n] = std::move(tree);
@@ -156,8 +175,8 @@ void flat_propagate_cell(const FlatTimingGraph& graph,
       const auto fan = static_cast<std::size_t>(fan_id);
       const auto& fan_time = res.nets[fan];
       if (!fan_time.reachable) continue;
-      // Wire delay from the fanin driver to this pin (precomputed by the
-      // exact sta_kernel tree.elmore call in bind_arc_records).
+      // Wire delay from the fanin driver to this pin (bind_arc_records'
+      // elmore_all, bit-identical to sta_kernel's per-visit tree.elmore).
       const double wire_delay = rec.has_tree[arc] ? rec.elmore[arc] : 0.0;
       const double slew_in = fan_time.slew[static_cast<std::size_t>(in_edge)];
       const CellArcModel* am = models[arc];

@@ -11,9 +11,12 @@
 // point operations of its sta_kernel twin (engine.hpp, which IncrementalSta
 // replays), in the same order, on the same inputs. NSigmaCellModel keys
 // arcs by (cell name, input edge) and ignores the pin, so one handle per
-// (CellType, edge) reproduces every per-arc string lookup; Elmore is
-// precomputed by the same tree.elmore(tree.sink_node(name)) call the
-// sta_kernel twin makes per visit. Handles that fail to resolve (cell type
+// (CellType, edge) reproduces every per-arc string lookup. Elmore is
+// precomputed once per net by tree.elmore_all() (O(tree nodes)) and
+// scattered to the net's sink arcs; elmore_all()[node] is bit-identical to
+// the tree.elmore(node) the sta_kernel twin computes per visit, and sink
+// nodes resolve through SinkIndex with sink_node's first-match result, so
+// both read the same double. Handles that fail to resolve (cell type
 // absent from the model) stay null and the kernels fall back to the
 // string-keyed lookup, which throws std::out_of_range when a reachable
 // cell of that type is evaluated.
@@ -51,7 +54,8 @@ namespace flat_kernel {
 
 /// Resolves charlib handles (one resolution per CellType, fanned out to
 /// every arc) and precomputes per-arc Elmore delays from the annotated
-/// trees in `res`. Call after annotation, before propagation.
+/// trees in `res`: one elmore_all() per net, in parallel over nets, with
+/// one buffer per chunk of nets. Call after annotation, before propagation.
 void bind_arc_records(const FlatTimingGraph& graph,
                       const NSigmaCellModel& model,
                       const StaEngine::Result& res, const ExecContext& exec,

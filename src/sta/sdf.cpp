@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "sta/annotate.hpp"
 #include "sta/engine.hpp"
@@ -69,10 +70,13 @@ std::string write_sdf(const GateNetlist& netlist,
     const RcTree& tree = sta.annotated[n];
     if (tree.num_nodes() <= 1) continue;
     const CellInst& driver = netlist.cell(net.driver_cell);
+    // One pass for every sink; bit-identical to per-sink tree.elmore.
+    const std::vector<double> m1 = tree.elmore_all();
+    const SinkIndex sinks(tree);
     for (const auto& sink : net.sinks) {
       const CellInst& rcv = netlist.cell(sink.cell);
-      const double elmore =
-          tree.elmore(tree.sink_node(sink_pin_name(rcv, sink.pin)));
+      const double elmore = m1[static_cast<std::size_t>(
+          sinks.node(sink_pin_name(rcv, sink.pin)))];
       const double xw = wire_model.xw(driver.type->name(), rcv.type->name());
       const auto q = wire_model.quantiles(elmore, xw);
       os << "  (CELL (CELLTYPE \"net\")\n    (INSTANCE " << net.name

@@ -59,9 +59,10 @@ StatisticalSta::Result StatisticalSta::run(
     const Net& net = netlist.net(static_cast<int>(n));
     if (parasitics.contains(net.name)) {
       RcTree tree = parasitics.net(net.name);
+      const SinkIndex sinks(tree);
       for (const auto& sink : net.sinks) {
         const auto& inst = netlist.cell(sink.cell);
-        tree.add_cap(tree.sink_node(sink_pin_name(inst, sink.pin)),
+        tree.add_cap(sinks.node(sink_pin_name(inst, sink.pin)),
                      inst.type->input_cap(tech_, sink.pin));
       }
       load[n] = tree.total_cap();

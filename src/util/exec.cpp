@@ -75,10 +75,10 @@ unsigned ExecContext::parallel_for_autotuned(
 }
 
 unsigned ExecContext::parallel_for_chunked(
-    std::size_t count, std::size_t grain,
+    std::size_t count, std::size_t call_grain,
     const std::function<void(std::size_t, std::size_t)>& fn) const {
   if (count == 0) return 0;
-  const std::size_t g = resolved_grain(grain);
+  const std::size_t g = resolved_grain(call_grain);
   // Chunked loops poll once per chunk; bodies with long-running chunks
   // (the MC sample loops) additionally poll per sample via check_cancel().
   const std::function<void(std::size_t, std::size_t)>* body = &fn;

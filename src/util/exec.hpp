@@ -57,10 +57,10 @@ struct ExecContext {
   unsigned parallel_for(std::size_t count,
                         const std::function<void(std::size_t)>& fn) const;
 
-  /// Chunked variant with a minimum block size of resolved_grain(grain)
+  /// Chunked variant with a minimum block size of resolved_grain(call_grain)
   /// indices (see the `grain` field for the override order).
   unsigned parallel_for_chunked(
-      std::size_t count, std::size_t grain,
+      std::size_t count, std::size_t call_grain,
       const std::function<void(std::size_t, std::size_t)>& fn) const;
 
   /// parallel_for with an autotuned_grain(count, lanes) per-call default —

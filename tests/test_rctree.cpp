@@ -2,7 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "liberty/synthlib.hpp"
+#include "netlist/designgen.hpp"
+#include "parasitics/spef.hpp"
+#include "parasitics/wiregen.hpp"
+#include "sta/annotate.hpp"
+#include "sta/engine.hpp"
 
 namespace nsdc {
 namespace {
@@ -119,6 +132,160 @@ TEST(RcTree, BuildSpiceStructure) {
   EXPECT_EQ(ckt.resistors().size(), 2u);
   EXPECT_EQ(ckt.capacitors().size(), 2u);
   EXPECT_DOUBLE_EQ(ckt.initial_voltage(ids[2]), 0.6);
+}
+
+// ------------------------------------------- linear-time moment passes
+
+/// Brute-force R_common(i, k): edge resistances shared by both root paths.
+double common_resistance_ref(const RcTree& t, int a, int b) {
+  std::vector<char> on_a(static_cast<std::size_t>(t.num_nodes()), 0);
+  for (int n = a; n > 0; n = t.parent(n)) {
+    on_a[static_cast<std::size_t>(n)] = 1;
+  }
+  double r = 0.0;
+  for (int n = b; n > 0; n = t.parent(n)) {
+    if (on_a[static_cast<std::size_t>(n)]) r += t.edge_res(n);
+  }
+  return r;
+}
+
+std::vector<std::string> pin_names(std::size_t count) {
+  std::vector<std::string> pins;
+  for (std::size_t i = 0; i < count; ++i) {
+    pins.push_back("u" + std::to_string(i) + ":0");
+  }
+  return pins;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(RcTree, LinearMomentsMatchPairwiseReferenceOnRandomTrees) {
+  const WireGenerator gen(TechParams::nominal28());
+  std::mt19937_64 pick(2024);
+  std::uniform_int_distribution<std::size_t> sinks(1, 400);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t k = trial == 0 ? 1 : (trial == 1 ? 400 : sinks(pick));
+    Rng rng(static_cast<std::uint64_t>(100 + trial));
+    RcTree t = gen.generate(rng, pin_names(k));
+    t.add_cap(0, 0.3e-15);  // root cap never enters a moment
+    const int n = t.num_nodes();
+    const std::vector<double> m1 = t.elmore_all();
+    ASSERT_EQ(m1.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(m1[0], 0.0);
+
+    std::vector<double> m1_ref(static_cast<std::size_t>(n), 0.0);
+    for (int i = 1; i < n; ++i) {
+      for (int j = 1; j < n; ++j) {
+        m1_ref[static_cast<std::size_t>(i)] +=
+            common_resistance_ref(t, i, j) * t.node_cap(j);
+      }
+    }
+    for (int i = 0; i < n; ++i) {
+      const auto ui = static_cast<std::size_t>(i);
+      EXPECT_NEAR(m1[ui], m1_ref[ui], 1e-12 * m1_ref[ui])
+          << "trial " << trial << " node " << i;
+      EXPECT_TRUE(same_bits(t.elmore(i), m1[ui]))
+          << "trial " << trial << " node " << i;
+    }
+    // Second moment at every sink: sum_k R_common(i,k) C_k m1(k).
+    for (const auto& s : t.sinks()) {
+      double m2_ref = 0.0;
+      for (int j = 1; j < n; ++j) {
+        m2_ref += common_resistance_ref(t, s.node, j) * t.node_cap(j) *
+                  m1_ref[static_cast<std::size_t>(j)];
+      }
+      EXPECT_NEAR(t.second_moment(s.node), m2_ref, 1e-12 * m2_ref)
+          << "trial " << trial << " sink " << s.pin;
+    }
+  }
+}
+
+TEST(RcTree, ElmoreRejectsBadNode) {
+  const RcTree t = line2(100.0, 1e-15, 200.0, 2e-15);
+  EXPECT_THROW((void)t.elmore(3), std::out_of_range);
+  EXPECT_THROW((void)t.elmore(-1), std::out_of_range);
+  EXPECT_EQ(t.elmore(0), 0.0);
+}
+
+// SinkIndex must return sink_node's first match on both of its regimes
+// (scan at <= 8 sinks, map above) with shuffled and repeated names.
+TEST(RcTree, SinkIndexMatchesFirstMatchSinkNode) {
+  const WireGenerator gen(TechParams::nominal28());
+  for (const std::size_t k : {3u, 8u, 9u, 60u}) {
+    std::vector<std::string> pins = pin_names(k);
+    // Repeat a third of the names; the copies land on other leaves.
+    for (std::size_t i = 0; i < k; i += 3) pins.push_back(pins[i]);
+    std::mt19937_64 shuffle(k);
+    std::shuffle(pins.begin(), pins.end(), shuffle);
+    Rng rng(k);
+    const RcTree t = gen.generate(rng, pins);
+    const SinkIndex index(t);
+    for (const auto& pin : pins) {
+      EXPECT_EQ(index.node(pin), t.sink_node(pin)) << k << " sinks, " << pin;
+    }
+    EXPECT_THROW((void)index.node("missing"), std::out_of_range);
+  }
+}
+
+/// Shuffles the pin lines of every *SINKS section of SPEF-lite text.
+std::string shuffle_spef_sinks(const std::string& text) {
+  std::istringstream is(text);
+  std::ostringstream os;
+  std::string line;
+  std::vector<std::string> sinks;
+  bool in_sinks = false;
+  std::mt19937_64 shuffle(7);
+  while (std::getline(is, line)) {
+    if (in_sinks && line != "*END") {
+      sinks.push_back(line);
+      continue;
+    }
+    if (in_sinks) {
+      std::shuffle(sinks.begin(), sinks.end(), shuffle);
+      for (const auto& s : sinks) os << s << '\n';
+      sinks.clear();
+      in_sinks = false;
+    }
+    os << line << '\n';
+    in_sinks = line == "*SINKS";
+  }
+  return os.str();
+}
+
+TEST(RcTree, FlatStaIgnoresSpefSinkOrder) {
+  const CellLibrary cells = CellLibrary::standard();
+  const TechParams tech = TechParams::nominal28();
+  const NSigmaCellModel model = NSigmaCellModel::fit(make_synthetic_charlib());
+  // Operand buses of 3 tiles x 4 bits reach 12 sinks: both SinkIndex
+  // regimes run.
+  const GateNetlist nl = generate_tiled_multiplier_array(4, 3, cells);
+  const ParasiticDb spef = generate_parasitics(nl, tech);
+  const std::string text = spef.to_spef(nl.name());
+  const std::string shuffled_text = shuffle_spef_sinks(text);
+  ASSERT_NE(shuffled_text, text);
+  const ParasiticDb in_order = ParasiticDb::from_spef(text);
+  const ParasiticDb shuffled = ParasiticDb::from_spef(shuffled_text);
+
+  const StaEngine sta(model, tech);
+  const StaEngine::Result a = sta.run(nl, in_order);
+  const StaEngine::Result b = sta.run(nl, shuffled);
+  ASSERT_EQ(a.nets.size(), b.nets.size());
+  for (std::size_t n = 0; n < a.nets.size(); ++n) {
+    const auto& x = a.nets[n];
+    const auto& y = b.nets[n];
+    EXPECT_EQ(x.reachable, y.reachable) << n;
+    EXPECT_EQ(x.from_pin, y.from_pin) << n;
+    for (std::size_t e = 0; e < 2; ++e) {
+      EXPECT_TRUE(same_bits(x.arrival[e], y.arrival[e])) << n;
+      EXPECT_TRUE(same_bits(x.slew[e], y.slew[e])) << n;
+    }
+    EXPECT_TRUE(same_bits(a.net_load[n], b.net_load[n])) << n;
+  }
+  EXPECT_TRUE(same_bits(a.max_arrival, b.max_arrival));
+  EXPECT_EQ(a.critical_net, b.critical_net);
+  EXPECT_EQ(a.critical_edge, b.critical_edge);
 }
 
 }  // namespace

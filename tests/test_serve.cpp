@@ -30,6 +30,7 @@
 #include "serve/service.hpp"
 #include "sta/annotate.hpp"
 #include "sta/incremental.hpp"
+#include "sta/netmc.hpp"
 #include "synthetic_charlib.hpp"
 #include "util/argparse.hpp"
 #include "util/errors.hpp"
@@ -431,6 +432,43 @@ TEST_F(ServeTest, FourConcurrentClientsByteIdenticalAtOneAndFourThreads) {
       EXPECT_EQ(runs[0][k][s], runs[1][k][s])
           << "client " << k << " step " << s
           << " diverged between 1 and 4 lanes";
+    }
+  }
+}
+
+// kNetMc samples one plan prepared by the first request; every response
+// must equal the per-request run(netlist, parasitics, cfg) byte for byte.
+TEST_F(ServeTest, NetMcReusedPlanMatchesPerRequestRun) {
+  serve::Service service(refs());
+  const NetlistMonteCarlo mc(cell_model, wire_model, tech);
+  std::uint32_t id = 1;
+  for (const std::uint64_t seed : {3u, 11u}) {
+    for (const std::uint32_t samples : {32u, 97u}) {
+      McConfig cfg;
+      cfg.samples = static_cast<int>(samples);
+      cfg.seed = seed;
+      const auto ref = mc.run(nl, spef, cfg);
+      net::WireWriter w;
+      w.u64(ref.samples_done);
+      w.u32(static_cast<std::uint32_t>(ref.po_nets.size()));
+      w.u32(static_cast<std::uint32_t>(ref.worst_po));
+      w.f64(ref.worst_po_moments.mu);
+      w.f64(ref.worst_po_moments.sigma);
+      w.f64(ref.worst_po_moments.gamma);
+      w.f64(ref.worst_po_moments.kappa);
+      for (double q : ref.worst_po_quantiles) w.f64(q);
+      w.f64(ref.circuit_moments.mu);
+      w.f64(ref.circuit_moments.sigma);
+      const std::string body = w.take();
+
+      const std::string resp =
+          service.handle(0, id, serve::make_netmc(id, samples, seed)).response;
+      ++id;
+      ASSERT_EQ(head_of(resp).status, serve::Status::kOk)
+          << head_of(resp).error;
+      ASSERT_GE(resp.size(), body.size());
+      EXPECT_EQ(resp.substr(resp.size() - body.size()), body)
+          << "seed " << seed << ", " << samples << " samples";
     }
   }
 }
